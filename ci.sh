@@ -1,43 +1,10 @@
 #!/usr/bin/env bash
-# The full CI gate, runnable locally. Mirrors .github/workflows/ci.yml.
-#
-#   ./ci.sh              run the full gate
-#   ./ci.sh bench-smoke  run the olap + parallel (join) benches with a small
-#                        sample size and write BENCH_olap.json — the
-#                        machine-readable perf trajectory CI archives
-#   ./ci.sh bench-check  measure a fresh bench-smoke, compare its means
-#                        against the committed BENCH_olap.json baselines
-#                        and fail on a >30% mean regression in any olap/*
-#                        or parallel/* bench (always re-measures, so a
-#                        stale working-tree summary can never gate)
+# The full CI gate, runnable locally; .github/workflows/ci.yml runs this
+# script and nothing else. Performance is measured by benchmarks/e2e (see
+# benchmarks/e2e/README.md); this gate runs its unit tests and its smoke
+# pass.
 set -euo pipefail
 cd "$(dirname "$0")"
-
-if [[ "${1:-}" == "bench-smoke" ]]; then
-    echo "==> bench smoke: olap + parallel benches, ${EIDER_BENCH_SAMPLES:=3} samples"
-    export EIDER_BENCH_SAMPLES
-    export EIDER_BENCH_JSON="$PWD/BENCH_olap.json"
-    # No rm: the summary merges by bench name, so recorded baseline-*
-    # entries survive while re-measured benches replace their own rows.
-    cargo bench -p eider-bench --bench olap
-    cargo bench -p eider-bench --bench parallel
-    cargo bench -p eider-bench --bench multi_session
-    echo "==> wrote $EIDER_BENCH_JSON"
-    exit 0
-fi
-
-if [[ "${1:-}" == "bench-check" ]]; then
-    baseline="$(mktemp --suffix=.json)"
-    trap 'rm -f "$baseline"' EXIT
-    git show HEAD:BENCH_olap.json > "$baseline"
-    # Always measure: gating a BENCH_olap.json left over from before the
-    # current change would wave regressions through.
-    ./ci.sh bench-smoke
-    echo "==> bench check: fresh means vs committed baselines (gate: +30%)"
-    cargo run --release -q -p eider-bench --bin bench_check -- \
-        "$baseline" BENCH_olap.json --threshold 0.30
-    exit 0
-fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -48,35 +15,40 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+# --no-fail-fast: a red test binary that sorts first must not hide a
+# later one.
 echo "==> cargo test -q (tier-1: root package)"
-cargo test -q
+cargo test -q --no-fail-fast
 
 echo "==> serial/parallel equivalence: integration suites at 1, 4 and 8 workers"
 # EIDER_THREADS pins the default worker cap, so every query in these
 # suites (not just the ones that set PRAGMA threads) runs serial once and
 # morsel-parallel twice, on any host including 1-core CI runners.
-EIDER_THREADS=1 cargo test -q --test parallel_execution --test sql_integration
-EIDER_THREADS=4 cargo test -q --test parallel_execution --test sql_integration
-EIDER_THREADS=8 cargo test -q --test parallel_execution --test sql_integration
+EIDER_THREADS=1 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
+EIDER_THREADS=4 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
+EIDER_THREADS=8 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
 
 echo "==> multi-session concurrency harness at 1, 2, 4 and 8 workers"
 # The deterministic session storm: N concurrent connections must observe
 # bit-identical results vs a serial replay at every fleet size.
-EIDER_THREADS=1 cargo test -q --test multi_session
-EIDER_THREADS=2 cargo test -q --test multi_session
-EIDER_THREADS=4 cargo test -q --test multi_session
-EIDER_THREADS=8 cargo test -q --test multi_session
+EIDER_THREADS=1 cargo test -q --no-fail-fast --test multi_session
+EIDER_THREADS=2 cargo test -q --no-fail-fast --test multi_session
+EIDER_THREADS=4 cargo test -q --no-fail-fast --test multi_session
+EIDER_THREADS=8 cargo test -q --no-fail-fast --test multi_session
 
 echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 echo "==> cargo test --doc --workspace (doc examples execute, incl. docs/EMBEDDING.md)"
-cargo test --doc --workspace -q
+cargo test --doc --workspace -q --no-fail-fast
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "==> cargo bench --workspace --no-run (benches must compile)"
-cargo bench --workspace --no-run
+echo "==> benchmarks/e2e: unit tests"
+cargo test --offline -q --no-fail-fast --manifest-path benchmarks/e2e/Cargo.toml
+
+echo "==> benchmarks/e2e: smoke pass (every workload and probe, answers checked)"
+cargo run --release --offline --quiet --manifest-path benchmarks/e2e/Cargo.toml -- --smoke
 
 echo "CI gate passed."

@@ -11,8 +11,9 @@
 //! With `--sessions N [--iters K]` it instead runs the session-scale storm
 //! ([`eider_bench::dashboard_storm`]): N-1 reader sessions × K queries each
 //! against one ETL writer, reporting the OLAP latency distribution (p50 /
-//! p99) the embedding host would observe — the numbers CI records into
-//! BENCH_olap.json via the `multi_session` bench.
+//! p99) the embedding host would observe. It is a paper regenerator, not a
+//! gate: the measured reads-beside-writes workload is `dashboard_mixed` in
+//! `benchmarks/e2e`.
 
 use eider_core::Database;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -13,11 +13,11 @@
 //! application RAM, the DBMS intermediate footprint, the compression level
 //! and the CPU cost of the materialization — the four series of Figure 1.
 
+use eider_bench::workload::Workload;
 use eider_coop::compression::CompressionLevel;
 use eider_coop::controller::{AdaptiveController, ControllerConfig};
 use eider_coop::monitor::{ResourceMonitor, SimulatedApplication};
 use eider_exec::collection::ChunkCollection;
-use eider_workload::Workload;
 use std::time::Instant;
 
 fn main() {

@@ -8,6 +8,7 @@
 //!   chunk-granular and column-wise; the same wrangling done row-by-row
 //!   (OLTP style, one statement per row) is orders of magnitude slower.
 
+use eider_bench::workload::Workload;
 use eider_bench::wrangling_db;
 use eider_exec::aggregate::AggKind;
 use eider_exec::expression::Expr;
@@ -15,7 +16,6 @@ use eider_exec::ops::agg::AggExpr;
 use eider_exec::row_engine::{run_to_end, RowAggregate, RowFilter, RowSource};
 use eider_txn::CmpOp;
 use eider_vector::{LogicalType, Value};
-use eider_workload::Workload;
 use std::time::Instant;
 
 fn main() {

@@ -9,12 +9,12 @@
 //!   that naive write-read misses; the health monitor escalates after the
 //!   first fault (Table 1's recurrence argument).
 
+use eider_bench::workload::Workload;
 use eider_resilience::ancode::AnCodec;
 use eider_resilience::fault::{CellDefect, Defect, FaultInjector, SimulatedMemory};
 use eider_resilience::health::HealthMonitor;
 use eider_resilience::memtest::{MemTestKind, MemoryTester};
 use eider_storage::file_manager::{BlockManager, InMemoryBlockManager};
-use eider_workload::Workload;
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -1,13 +1,17 @@
-//! Shared helpers for the eider benchmark suite.
+//! Paper regenerators and shared fixtures.
 //!
-//! Every table and figure of the paper has a regenerator here: see
-//! `src/bin/table1.rs`, `src/bin/figure1.rs` and the per-section binaries,
-//! plus the Criterion micro-benchmarks under `benches/`. EXPERIMENTS.md
-//! maps each to the paper's claims.
+//! Every table and figure of the paper has a regenerator binary here:
+//! `src/bin/table1.rs`, `src/bin/figure1.rs`, `src/bin/section2.rs` ..
+//! `src/bin/section5.rs` and `src/bin/dashboard_sim.rs`. The library holds
+//! what those binaries and the root integration tests share: the seeded
+//! data generators in [`workload`] and the database builders below.
+//! Performance is measured by `benchmarks/e2e`, not here.
+
+pub mod workload;
 
 use eider_core::{Database, Result};
-use eider_workload::Workload;
 use std::sync::Arc;
+use workload::Workload;
 
 /// Build an in-memory database with the §2 wrangling table loaded.
 pub fn wrangling_db(rows: usize, missing: f64, seed: u64) -> Result<Arc<Database>> {
@@ -46,8 +50,7 @@ pub struct DashboardStats {
 /// Every connection is its own engine session — quota sub-account, fleet
 /// fair share — so the per-query latencies this returns measure exactly
 /// the multi-session interference an embedding host would see. Used by
-/// the `dashboard_sim` binary and the `multi_session` bench (which gates
-/// the 8-session p50/p99 in CI).
+/// the `dashboard_sim` binary.
 pub fn dashboard_storm(rows: usize, sessions: usize, iters: usize) -> Result<DashboardStats> {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Instant;
@@ -124,60 +127,6 @@ pub fn dashboard_storm(rows: usize, sessions: usize, iters: usize) -> Result<Das
         p50_ns: pct(0.50),
         p99_ns: pct(0.99),
     })
-}
-
-/// Where deterministic benchmark fixtures live: `target/fixtures/` at the
-/// workspace root. Nothing under it is checked in — [`scan_fixtures`] (or
-/// the `fixtures` binary) regenerates the files byte-for-byte on demand.
-pub fn fixture_dir() -> std::path::PathBuf {
-    let mut p = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop(); // crates/
-    p.pop(); // workspace root
-    p.push("target");
-    p.push("fixtures");
-    p
-}
-
-/// Generate the external-scan fixtures: a CSV of `rows` records and its
-/// Arrow IPC twin holding identical data, both fully determined by `rows`
-/// (no clock, no RNG — reruns are byte-identical, so cold-scan benches
-/// and golden comparisons are stable). Returns `(csv_path, arrow_path)`.
-pub fn scan_fixtures(rows: usize) -> Result<(std::path::PathBuf, std::path::PathBuf)> {
-    use eider_etl::{ArrowWriter, CsvReadOptions, CsvSource};
-    use eider_vector::LogicalType;
-    use std::io::Write;
-
-    let dir = fixture_dir();
-    std::fs::create_dir_all(&dir)?;
-    let csv = dir.join(format!("scan_{rows}.csv"));
-    let arrow = dir.join(format!("scan_{rows}.arrow"));
-
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&csv)?);
-    writeln!(out, "id,grp,val,note")?;
-    for i in 0..rows {
-        writeln!(out, "{i},g{},{}.5,\"note, {} with padding\"", i % 8, i % 97, i * 31 % 1000)?;
-    }
-    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-
-    // The Arrow twin is derived from the CSV through the same TableSource
-    // the engine scans — one authority for what the data *is*.
-    let source = CsvSource::open(&csv, CsvReadOptions::default())?;
-    use eider_etl::TableSource as _;
-    let names = source.column_names().to_vec();
-    let types = source.column_types().to_vec();
-    assert_eq!(
-        types,
-        [LogicalType::BigInt, LogicalType::Varchar, LogicalType::Double, LogicalType::Varchar]
-    );
-    let file = std::fs::File::create(&arrow)?;
-    let mut writer = ArrowWriter::new(std::io::BufWriter::new(file), names, types)?;
-    let projection: Vec<usize> = (0..4).collect();
-    eider_etl::for_each_chunk(&source, &projection, |chunk| {
-        writer.write_chunk(&chunk)?;
-        Ok(())
-    })?;
-    writer.finish()?;
-    Ok((csv, arrow))
 }
 
 /// Build an in-memory database with orders + customers loaded.

@@ -1,4 +1,5 @@
-//! Synthetic workload generators for tests, examples and benchmarks.
+//! Synthetic workload generators for tests, examples and the paper
+//! regenerators.
 //!
 //! §2 describes the workload mix an embedded analytical system faces:
 //! large scans with aggregates and joins, bulk appends as new data
@@ -21,7 +22,7 @@ impl Workload {
     }
 
     /// A Zipf-ish skewed key in `[0, n)`: heavy head, long tail (used for
-    /// join/group keys; exact Zipf is unnecessary for the benches).
+    /// join/group keys; exact Zipf is unnecessary here).
     pub fn skewed_key(&mut self, n: u64) -> u64 {
         let u: f64 = self.rng.gen_range(0.0f64..1.0);
         let x = u.powi(3); // cube concentrates mass near zero
@@ -150,20 +151,19 @@ impl Workload {
         Ok(chunks)
     }
 
-    /// Raw integer column (for resilience/AN-code benches).
+    /// Raw integer column (for the §3 AN-code regenerator).
     pub fn int_column(&mut self, rows: usize, max: i32) -> Vec<i32> {
         (0..rows).map(|_| self.rng.gen_range(0..max)).collect()
     }
 }
 
-/// Format chunks row count (test helper).
-pub fn total_rows(chunks: &[DataChunk]) -> usize {
-    chunks.iter().map(DataChunk::len).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn total_rows(chunks: &[DataChunk]) -> usize {
+        chunks.iter().map(DataChunk::len).sum()
+    }
 
     #[test]
     fn deterministic_for_seed() {

@@ -356,8 +356,11 @@ mod tests {
     fn from_source_ingests_a_csv_file() {
         use eider_etl::{CsvReadOptions, CsvSource};
         use std::io::Write as _;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!("eider_appender_src_{}.csv", std::process::id()));
+        path.push(format!("eider_appender_src_{}_{n}.csv", std::process::id()));
         {
             let mut f = std::fs::File::create(&path).unwrap();
             writeln!(f, "id,v").unwrap();

@@ -1217,8 +1217,11 @@ mod tests {
     #[test]
     fn read_csv_routes_morsel_parallel_with_projection_pushdown() {
         use std::io::Write as _;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!("eider_planner_read_csv_{}.csv", std::process::id()));
+        path.push(format!("eider_planner_read_csv_{}_{n}.csv", std::process::id()));
         {
             // ~130KB: comfortably above the 2×16KB floor two byte-range
             // partitions need, so the scan is parallel-eligible.
@@ -1254,7 +1257,7 @@ mod tests {
 
         // A file too small to split still executes — serially.
         let mut small_path = std::env::temp_dir();
-        small_path.push(format!("eider_planner_read_csv_small_{}.csv", std::process::id()));
+        small_path.push(format!("eider_planner_read_csv_small_{}_{n}.csv", std::process::id()));
         std::fs::write(&small_path, "id,name\n1,a\n2,b\n").unwrap();
         let sql = format!("SELECT count(*) FROM read_csv('{}')", small_path.display());
         assert!(!routes_parallel(&db, &sql), "tiny files keep the serial path");

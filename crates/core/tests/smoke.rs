@@ -1,6 +1,20 @@
 //! End-to-end smoke tests of the eider-core facade.
 
 use eider_core::{Database, Value};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A fresh database path (and its WAL) named by pid plus a process-wide
+/// counter, so tests running concurrently never share one.
+fn tmp_db(name: &str) -> (PathBuf, String) {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("eider_{name}_{}_{n}.db", std::process::id()));
+    let wal = format!("{}.wal", path.display());
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&wal);
+    (path, wal)
+}
 
 #[test]
 fn full_sql_pipeline_in_memory() {
@@ -58,10 +72,7 @@ fn explicit_transactions_and_rollback() {
 
 #[test]
 fn persistence_across_reopen() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("eider_smoke_{}.db", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let wal = format!("{}.wal", path.display());
+    let (path, wal) = tmp_db("smoke");
     {
         let db = Database::open(&path).unwrap();
         let conn = db.connect();
@@ -83,11 +94,7 @@ fn persistence_across_reopen() {
 
 #[test]
 fn wal_recovery_without_checkpoint() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("eider_walrec_{}.db", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let wal = format!("{}.wal", path.display());
-    let _ = std::fs::remove_file(&wal);
+    let (path, wal) = tmp_db("walrec");
     {
         let db = Database::open(&path).unwrap();
         let conn = db.connect();

@@ -800,10 +800,13 @@ mod tests {
     use super::*;
     use eider_txn::CmpOp;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("eider_arrow_{}_{name}.arrow", std::process::id()));
+        p.push(format!("eider_arrow_{}_{n}_{name}.arrow", std::process::id()));
         p
     }
 

@@ -626,10 +626,13 @@ impl CsvWriter {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("eider_csv_{}_{name}.csv", std::process::id()));
+        p.push(format!("eider_csv_{}_{n}_{name}.csv", std::process::id()));
         p
     }
 

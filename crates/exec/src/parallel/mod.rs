@@ -68,9 +68,6 @@ pub mod scheduler;
 pub use fleet::{FleetLease, WorkerFleet};
 pub use graph::{GraphLink, GraphNode, GraphStats, NodeId, PipelineGraph, PipelineGraphOp};
 pub use morsel::{Morsel, MorselScanOp, MorselSource};
-pub use pipeline::{
-    ParallelPipeline, ParallelPipelineOp, PipelineOutput, PipelineSink, PipelineSource,
-    PipelineStep,
-};
+pub use pipeline::{ParallelPipeline, PipelineOutput, PipelineSink, PipelineSource, PipelineStep};
 pub use queue::{compose_seq, decompose_seq, ChunkQueue, QueueBatch};
 pub use scheduler::TaskScheduler;

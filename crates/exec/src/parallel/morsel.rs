@@ -414,8 +414,11 @@ mod tests {
     fn external_partitions_dispense_and_merge_deterministically() {
         use eider_etl::csv::{CsvReadOptions, CsvSource};
         use std::io::Write as _;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!("eider_morsel_ext_{}.csv", std::process::id()));
+        path.push(format!("eider_morsel_ext_{}_{n}.csv", std::process::id()));
         {
             let mut f = std::fs::File::create(&path).unwrap();
             writeln!(f, "id,name").unwrap();

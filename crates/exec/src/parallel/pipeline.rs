@@ -44,7 +44,7 @@ use crate::aggregate::AggState;
 use crate::ops::agg::{update_group_table, update_simple_states, AggExpr, GroupTable};
 use crate::ops::join::{BuildPartial, BuildSide, JoinProbeOp, JoinType};
 use crate::ops::sort::{compare_keys, SortKey};
-use crate::ops::{FilterOp, OperatorBox, PhysicalOperator, ProjectionOp, ValuesOp};
+use crate::ops::{FilterOp, OperatorBox, ProjectionOp, ValuesOp};
 use crate::parallel::morsel::{Morsel, MorselScanOp, MorselSource};
 use crate::parallel::queue::{compose_seq, ChunkQueue, QueueBatch};
 use crate::parallel::scheduler::TaskScheduler;
@@ -1154,47 +1154,6 @@ fn merge_sort_runs(
         sink(out)?;
     }
     Ok(())
-}
-
-/// A [`PhysicalOperator`] facade over a parallel pipeline, so the physical
-/// planner can splice parallel execution into an otherwise serial plan
-/// (e.g. under a LIMIT, or as the probe input of a join). Executes eagerly
-/// on the first `next_chunk` pull. Holds the output's memory reservations
-/// until dropped.
-pub struct ParallelPipelineOp {
-    pipeline: ParallelPipeline,
-    threads: usize,
-    output: Option<std::vec::IntoIter<DataChunk>>,
-    _reservations: Vec<MemoryReservation>,
-}
-
-impl ParallelPipelineOp {
-    pub fn new(pipeline: ParallelPipeline, threads: usize) -> Self {
-        ParallelPipelineOp { pipeline, threads, output: None, _reservations: Vec::new() }
-    }
-}
-
-impl PhysicalOperator for ParallelPipelineOp {
-    fn output_types(&self) -> Vec<LogicalType> {
-        self.pipeline.output_types()
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
-        if self.output.is_none() {
-            match self.pipeline.execute(self.threads)? {
-                PipelineOutput::Chunks { chunks, reservations } => {
-                    self.output = Some(chunks.into_iter());
-                    self._reservations = reservations;
-                }
-                PipelineOutput::JoinBuild { .. } => {
-                    return Err(EiderError::Internal(
-                        "join-build pipelines are consumed by the pipeline DAG, not pulled".into(),
-                    ))
-                }
-            }
-        }
-        Ok(self.output.as_mut().expect("executed").next())
-    }
 }
 
 /// Split aggregate locals into partials plus the worker reservations that

@@ -379,10 +379,13 @@ impl BlockManager for InMemoryBlockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_path(name: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("eider_test_{}_{name}.db", std::process::id()));
+        p.push(format!("eider_test_{}_{n}_{name}.db", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
     }

@@ -116,10 +116,13 @@ impl WriteAheadLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("eider_wal_{}_{name}.wal", std::process::id()));
+        p.push(format!("eider_wal_{}_{n}_{name}.wal", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
     }

@@ -11,9 +11,9 @@
 //! ```
 
 use eider::{Database, Result};
+use eider_bench::workload::Workload;
 use eider_client::protocol::{serialize_result, Bandwidth};
 use eider_client::Appender;
-use eider_workload::Workload;
 use std::sync::Arc;
 
 fn main() -> Result<()> {

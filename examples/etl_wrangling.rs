@@ -8,8 +8,8 @@
 //! ```
 
 use eider::{Database, Result};
+use eider_bench::workload::Workload;
 use eider_etl::csv::CsvWriter;
-use eider_workload::Workload;
 
 fn main() -> Result<()> {
     // Fabricate the "existing CSV file" a data scientist would start from:

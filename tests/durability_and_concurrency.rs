@@ -3,11 +3,17 @@
 
 use eider::{Database, Value};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Scratch files are named by pid plus this process-wide counter, so
+/// tests running concurrently never share one.
+static COUNTER: AtomicU64 = AtomicU64::new(0);
+
 fn tmp_db(name: &str) -> (PathBuf, String) {
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
-    p.push(format!("eider_it_{}_{name}.db", std::process::id()));
+    p.push(format!("eider_it_{}_{n}_{name}.db", std::process::id()));
     let wal = format!("{}.wal", p.display());
     let _ = std::fs::remove_file(&p);
     let _ = std::fs::remove_file(&wal);
@@ -178,7 +184,8 @@ fn csv_round_trip_through_copy() {
     conn.execute("INSERT INTO t VALUES (1, 'with,comma', 1.5), (2, NULL, 2.5), (3, 'plain', NULL)")
         .unwrap();
     let mut path = std::env::temp_dir();
-    path.push(format!("eider_copy_{}.csv", std::process::id()));
+    let seq = COUNTER.fetch_add(1, Ordering::Relaxed);
+    path.push(format!("eider_copy_{}_{seq}.csv", std::process::id()));
     let n = conn.execute(&format!("COPY t TO '{}'", path.display())).unwrap();
     assert_eq!(n, 3);
     conn.execute("CREATE TABLE t2 (id INTEGER, name VARCHAR, score DOUBLE)").unwrap();

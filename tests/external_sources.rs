@@ -10,22 +10,41 @@ use eider_etl::{for_each_chunk, ArrowFileSource, ArrowWriter, TableSource};
 use eider_vector::{DataChunk, LogicalType, Vector};
 use proptest::prelude::*;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const ROWS: usize = 6_000;
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("eider_ext_{}_{name}", std::process::id()));
-    p
+/// A scratch file of this process's own — pid plus a process-wide counter,
+/// so tests running concurrently never share one — removed on drop, also
+/// when the test fails.
+struct TmpFile(PathBuf);
+
+impl std::ops::Deref for TmpFile {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn tmp(name: &str) -> TmpFile {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    TmpFile(std::env::temp_dir().join(format!("eider_ext_{}_{n}_{name}", std::process::id())))
 }
 
 /// A deterministic CSV well past the 32 KB two-partition floor: a BigInt
 /// key, a dictionary-friendly group, an exactly-representable Double, and
 /// a quoted varchar with embedded delimiters and newlines — the shapes
 /// the byte-range partitioner has to get right.
-fn write_fixture_csv(path: &PathBuf) {
+fn write_fixture_csv(path: &Path) {
     let mut f = std::fs::File::create(path).unwrap();
     writeln!(f, "id,grp,val,note").unwrap();
     for i in 0..ROWS {
@@ -42,7 +61,7 @@ fn write_fixture_csv(path: &PathBuf) {
 /// Build a database with the fixture ingested as table `t` (via COPY FROM
 /// — the same `TableSource` path `read_csv` uses) and the Arrow twin
 /// exported from that table through `ResultCursor::export_arrow_ipc`.
-fn fixture() -> (Arc<Database>, PathBuf, PathBuf) {
+fn fixture() -> (Arc<Database>, TmpFile, TmpFile) {
     let csv = tmp("fixture.csv");
     let arrow = tmp("fixture.arrow");
     write_fixture_csv(&csv);
@@ -50,7 +69,7 @@ fn fixture() -> (Arc<Database>, PathBuf, PathBuf) {
     let conn = db.connect();
     conn.execute("CREATE TABLE t (id BIGINT, grp VARCHAR, val DOUBLE, note VARCHAR)").unwrap();
     conn.execute(&format!("COPY t FROM '{}'", csv.display())).unwrap();
-    let out = std::fs::File::create(&arrow).unwrap();
+    let out = std::fs::File::create(&*arrow).unwrap();
     let exported = conn.query_stream("SELECT * FROM t").unwrap().export_arrow_ipc(out).unwrap();
     assert_eq!(exported, ROWS as u64);
     (db, csv, arrow)
@@ -106,8 +125,6 @@ fn external_scans_match_the_ingested_table_at_every_thread_count() {
             }
         }
     }
-    std::fs::remove_file(&csv).unwrap();
-    std::fs::remove_file(&arrow).unwrap();
 }
 
 #[test]
@@ -125,8 +142,6 @@ fn external_scans_survive_a_one_megabyte_budget() {
             }
         }
     }
-    std::fs::remove_file(&csv).unwrap();
-    std::fs::remove_file(&arrow).unwrap();
 }
 
 /// Exporting a query result to Arrow IPC and scanning the file back with
@@ -134,25 +149,22 @@ fn external_scans_survive_a_one_megabyte_budget() {
 /// is a file format" story.
 #[test]
 fn arrow_export_round_trips_through_read_arrow() {
-    let (db, csv, arrow) = fixture();
+    let (db, _csv, _arrow) = fixture();
     let conn = db.connect();
     // Round-trip a *derived* result, not just the base table.
     let derived = tmp("derived.arrow");
     let sql = "SELECT grp, count(*) AS n, min(val) AS lo FROM t GROUP BY grp ORDER BY grp";
     let expect = conn.query(sql).unwrap().to_rows();
-    let out = std::fs::File::create(&derived).unwrap();
+    let out = std::fs::File::create(&*derived).unwrap();
     conn.query_stream(sql).unwrap().export_arrow_ipc(out).unwrap();
     let back = conn.query(&format!("SELECT * FROM read_arrow('{}')", derived.display())).unwrap();
     assert_eq!(back.column_names(), ["grp", "n", "lo"]);
     assert_eq!(back.to_rows(), expect);
-    std::fs::remove_file(&csv).unwrap();
-    std::fs::remove_file(&arrow).unwrap();
-    std::fs::remove_file(&derived).unwrap();
 }
 
 /// Read an Arrow file back into rows via the raw `TableSource`, recording
 /// whether any imported column arrived dictionary-coded.
-fn arrow_rows(path: &PathBuf) -> (Vec<Vec<Value>>, bool) {
+fn arrow_rows(path: &Path) -> (Vec<Vec<Value>>, bool) {
     let source = ArrowFileSource::open(path).unwrap();
     let projection: Vec<usize> = (0..source.column_types().len()).collect();
     let mut rows = Vec::new();
@@ -192,7 +204,7 @@ proptest! {
         let path = tmp(&format!("prop_{case}.arrow"));
         let mut expected = Vec::new();
         {
-            let out = std::fs::File::create(&path).unwrap();
+            let out = std::fs::File::create(&*path).unwrap();
             let names = vec!["a".into(), "b".into(), "c".into()];
             let mut writer = ArrowWriter::new(out, names, types.to_vec()).unwrap();
             for batch in &batches {
@@ -220,7 +232,6 @@ proptest! {
             writer.finish().unwrap();
         }
         let (rows, _saw_dict) = arrow_rows(&path);
-        std::fs::remove_file(&path).unwrap();
         prop_assert_eq!(rows, expected);
     }
 }
@@ -234,7 +245,7 @@ fn dict_columns_cross_the_file_without_decoding() {
     let rows: Vec<Vec<Value>> =
         (0..1000).map(|i| vec![Value::Varchar(format!("group_{}", i % 4))]).collect();
     {
-        let out = std::fs::File::create(&path).unwrap();
+        let out = std::fs::File::create(&*path).unwrap();
         let mut writer = ArrowWriter::new(out, vec!["g".into()], types.to_vec()).unwrap();
         let chunk = DataChunk::from_rows(&types, &rows).unwrap();
         let mut cols = chunk.into_columns();
@@ -245,7 +256,6 @@ fn dict_columns_cross_the_file_without_decoding() {
     let (got, saw_dict) = arrow_rows(&path);
     assert!(saw_dict, "imported column must still be dictionary-coded");
     assert_eq!(got, rows);
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// `Appender::from_source` and `COPY FROM` are the same ingest path; the
@@ -265,7 +275,7 @@ fn bulk_ingest_matches_copy_from() {
 
     let entry = db.catalog().get_table("via_appender").unwrap();
     let txn = Arc::new(db.txn_manager().begin());
-    let source = CsvSource::open(&csv, CsvReadOptions::default()).unwrap();
+    let source = CsvSource::open(&*csv, CsvReadOptions::default()).unwrap();
     let loaded = Appender::from_source(entry, Arc::clone(&txn), &source).unwrap();
     assert_eq!(loaded, ROWS as u64);
     db.commit_transaction(Arc::try_unwrap(txn).expect("sole handle")).unwrap();
@@ -273,5 +283,4 @@ fn bulk_ingest_matches_copy_from() {
     let a = conn.query("SELECT * FROM via_copy").unwrap().to_rows();
     let b = conn.query("SELECT * FROM via_appender").unwrap().to_rows();
     assert_eq!(a, b);
-    std::fs::remove_file(&csv).unwrap();
 }
