@@ -20,6 +20,11 @@ cargo build --release
 echo "==> cargo test -q (tier-1: root package)"
 cargo test -q --no-fail-fast
 
+echo "==> key encoding and allocation pins, release build"
+# The byte-key encoder's integer arithmetic runs without overflow checks in
+# release builds; run its order and allocation properties there too.
+cargo test --release -q --no-fail-fast --test rowkey_props --test alloc_free_keys
+
 echo "==> serial/parallel equivalence: integration suites at 1, 4 and 8 workers"
 # EIDER_THREADS pins the default worker cap, so every query in these
 # suites (not just the ones that set PRAGMA threads) runs serial once and

@@ -33,7 +33,7 @@ use eider_exec::ops::join::JoinType;
 use eider_exec::ops::{
     CrossProductOp, DeleteOp, DistinctOp, ExternalSortOp, FilterOp, HashAggregateOp, HashJoinOp,
     InsertOp, LimitOp, MergeJoinOp, NestedLoopJoinOp, OperatorBox, PhysicalOperator, ProjectionOp,
-    SimpleAggregateOp, SourceScanOp, TableScanOp, TopNOp, UpdateOp, ValuesOp,
+    SimpleAggregateOp, SourceScanOp, TableScanOp, UpdateOp, ValuesOp,
 };
 use eider_exec::parallel::graph::{
     fold_link_types, GraphLink, GraphNode, PipelineGraph, PipelineGraphOp,
@@ -191,10 +191,13 @@ pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> R
                     let estimated = rows.saturating_mul(width) as usize;
                     if estimated <= ctx.budget() / 4 {
                         let child = lower(ctx, txn, sort_input)?;
-                        return Ok(Box::new(
-                            TopNOp::new(child, keys.clone(), *limit, *offset)
-                                .with_buffers(Some(ctx.buffers())),
-                        ));
+                        return Ok(Box::new(ExternalSortOp::top_n(
+                            child,
+                            keys.clone(),
+                            *limit,
+                            *offset,
+                            Some(ctx.buffers()),
+                        )));
                     }
                 }
             }

@@ -139,7 +139,8 @@ impl MergeJoinOp {
         self.right_run.push(first);
         while let Some(r) = self.right.next_row()? {
             let k = Self::key_of(&r, self.nkeys);
-            if k == key && !k.iter().any(Value::is_null) {
+            // The sort's order, not `Value` ==, which lets NaN equal any number.
+            if compare_keys(&k, &key, &self.sort_spec).is_eq() && !k.iter().any(Value::is_null) {
                 self.right_run.push(r);
             } else {
                 self.right_lookahead = Some(r);
@@ -288,6 +289,25 @@ mod tests {
         let sample = rows.iter().find(|r| r[1] == Value::Integer(1500)).unwrap();
         assert_eq!(sample[0], Value::Integer(500));
         assert_eq!(sample[3], Value::Integer(5000));
+    }
+
+    /// The merge groups and compares keys in the order the sorts produce:
+    /// NaN after every number, equal only to NaN (as in a hash join).
+    #[test]
+    fn nan_keys_join_only_nan() {
+        let types = vec![LogicalType::Double, LogicalType::Varchar];
+        let row = |k: f64, tag: &str| vec![Value::Double(k), Value::Varchar(tag.into())];
+        let left = table(vec![row(3.0, "l3"), row(f64::NAN, "lnan")], types.clone());
+        let right = table(vec![row(2.0, "r2"), row(3.0, "r3"), row(f64::NAN, "rnan")], types);
+        let keys = || vec![Expr::column(0, LogicalType::Double)];
+        let mut op = MergeJoinOp::new(left, right, keys(), keys(), 1 << 20, None);
+        let tags: Vec<Value> = drain_rows(&mut op)
+            .unwrap()
+            .iter()
+            .flat_map(|r| [r[1].clone(), r[3].clone()])
+            .collect();
+        let expect = ["l3", "r3", "lnan", "rnan"].map(|t| Value::Varchar(t.into()));
+        assert_eq!(tags, expect);
     }
 
     #[test]

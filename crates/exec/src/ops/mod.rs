@@ -18,7 +18,7 @@ pub use join::{
 pub use merge_join::MergeJoinOp;
 pub use modify::{DeleteOp, InsertOp, UpdateOp};
 pub use scan::{SourceScanOp, TableScanOp};
-pub use sort::{ExternalSortOp, SortKey, TopNOp};
+pub use sort::{ExternalSortOp, SortKey};
 
 /// The pull interface: every operator produces chunks until exhausted.
 /// "Query execution commences by pulling the first chunk of data from the

@@ -12,7 +12,7 @@
 //! | [`PipelineSink::Collect`] | produced chunks, tagged by morsel | re-order by morsel sequence |
 //! | [`PipelineSink::SimpleAggregate`] | per-morsel [`AggState`] rows | [`AggState::merge`] in morsel order |
 //! | [`PipelineSink::HashAggregate`] | per-morsel group hash tables | merge tables in morsel order, emit groups key-sorted |
-//! | [`PipelineSink::Sort`] | sorted runs, spilled past the budget | streaming k-way merge of memory + disk runs, ties broken by scan position |
+//! | [`PipelineSink::Sort`] | a [`SortSink`]: columnar run + byte keys (Top-N: cap-bounded), spilled past the budget, sorted on the worker | `SortMerge`: heap of run heads on key bytes, keys end in the scan position |
 //! | [`PipelineSink::JoinBuild`] | hashed build chunks ([`BuildPartial`]) | splice via [`BuildSide::from_partials`] |
 //! | [`PipelineSink::Queue`] | chunks of the current work unit | none — batches stream into a [`ChunkQueue`] per unit |
 //!
@@ -43,13 +43,12 @@
 use crate::aggregate::AggState;
 use crate::ops::agg::{update_group_table, update_simple_states, AggExpr, GroupTable};
 use crate::ops::join::{BuildPartial, BuildSide, JoinProbeOp, JoinType};
-use crate::ops::sort::{compare_keys, SortKey};
+use crate::ops::sort::{MergeRun, SortKey, SortMerge, SortSink, SortSpec};
 use crate::ops::{FilterOp, OperatorBox, ProjectionOp, ValuesOp};
 use crate::parallel::morsel::{Morsel, MorselScanOp, MorselSource};
 use crate::parallel::queue::{compose_seq, ChunkQueue, QueueBatch};
 use crate::parallel::scheduler::TaskScheduler;
 use eider_storage::buffer::{BufferManager, MemoryReservation};
-use eider_storage::spill::{SpillFile, SpillReader};
 use eider_txn::Transaction;
 use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value, VECTOR_SIZE};
 use std::sync::Arc;
@@ -192,8 +191,8 @@ pub enum PipelineSink {
     /// `aggs` this is exactly DISTINCT.
     HashAggregate { groups: Vec<crate::expression::Expr>, aggs: Vec<AggExpr> },
     /// ORDER BY; ties preserve scan order (stable like the serial sort).
-    /// Runs larger than the pipeline's sort budget spill to disk in the
-    /// serial external sort's run format, so arbitrarily large sorts
+    /// Runs larger than the pipeline's sort budget spill to disk through
+    /// the same sort core as the serial sort, so arbitrarily large sorts
     /// parallelize. `limit` (as `(limit, offset)`) makes it a Top-N:
     /// workers keep a cap-bounded candidate buffer *charged to the buffer
     /// manager* (spilling it under §4 pressure, so no fusion size cap is
@@ -239,146 +238,6 @@ impl PipelineOutput {
     }
 }
 
-/// A sort row: key values, scan position for tie-breaking, payload.
-type SortRow = (Vec<Value>, (usize, usize, usize), Vec<Value>);
-
-fn sort_row_bytes(row: &SortRow) -> usize {
-    row.0.iter().chain(&row.2).map(Value::size_bytes).sum()
-}
-
-/// Worker-local sort state: the in-memory run plus runs already spilled.
-///
-/// Like the serial [`ExternalSortOp`](crate::ops::ExternalSortOp), a
-/// worker reserves its run budget against the buffer manager *upfront*
-/// (halving the request under memory pressure — spilling more often
-/// instead of failing, §4's disk-for-RAM trade) and spills whenever its
-/// buffered rows reach that budget.
-struct SortLocal {
-    rows: Vec<SortRow>,
-    bytes: usize,
-    /// Spill threshold in buffered-row bytes.
-    budget: usize,
-    spills: Vec<SpillReader>,
-    reservation: Option<MemoryReservation>,
-}
-
-impl SortLocal {
-    fn order(rows: &mut [SortRow], keys: &[SortKey]) {
-        rows.sort_by(|a, b| compare_keys(&a.0, &b.0, keys).then(a.1.cmp(&b.1)));
-    }
-
-    /// Sort the buffered run and write it to a spill file. Spilled rows use
-    /// the serial external sort's run format — chunks of `key columns +
-    /// payload` — extended with three position columns so the merge can
-    /// tie-break on scan position.
-    fn spill(&mut self, keys: &[SortKey], spill_types: &[LogicalType]) -> Result<()> {
-        if self.rows.is_empty() {
-            return Ok(());
-        }
-        Self::order(&mut self.rows, keys);
-        let mut file = SpillFile::create()?;
-        let mut encoded: Vec<Vec<Value>> = Vec::with_capacity(VECTOR_SIZE);
-        for window in self.rows.chunks(VECTOR_SIZE) {
-            encoded.clear();
-            for (key, (seq, intra, row), payload) in window {
-                let mut r = Vec::with_capacity(spill_types.len());
-                r.extend(key.iter().cloned());
-                r.push(Value::BigInt(*seq as i64));
-                r.push(Value::BigInt(*intra as i64));
-                r.push(Value::BigInt(*row as i64));
-                r.extend(payload.iter().cloned());
-                encoded.push(r);
-            }
-            file.write_chunk(&DataChunk::from_rows(spill_types, &encoded)?)?;
-        }
-        self.spills.push(file.finish()?);
-        self.rows.clear();
-        self.bytes = 0;
-        Ok(())
-    }
-
-    /// Top-N bound: keep only the best `cap` rows (amortized — prunes once
-    /// the buffer doubles past the cap).
-    fn prune(&mut self, cap: usize, keys: &[SortKey]) {
-        if self.rows.len() < cap.saturating_mul(2).max(cap + VECTOR_SIZE) {
-            return;
-        }
-        Self::order(&mut self.rows, keys);
-        self.rows.truncate(cap);
-        self.bytes = self.rows.iter().map(sort_row_bytes).sum();
-    }
-
-    /// Charged Top-N mode: keep the worker's reservation equal to its
-    /// buffered bytes (growing as candidates stage, shrinking when a prune
-    /// discards losers). When the ledger refuses a grow — §4 pressure —
-    /// the buffered candidates spill to disk like a full sort's run and
-    /// their charge releases: the fused parallel Top-N therefore needs no
-    /// row-count cap, arbitrarily large `limit + offset` stays bounded by
-    /// the budget, trading disk for RAM instead of failing the query.
-    fn sync_cap_charge(&mut self, keys: &[SortKey], spill_types: &[LogicalType]) -> Result<()> {
-        if self.reservation.is_none() {
-            return Ok(());
-        }
-        let held = self.reservation.as_ref().expect("checked").bytes();
-        if self.bytes > held {
-            let grew = self.reservation.as_mut().expect("checked").grow(self.bytes - held).is_ok();
-            if !grew {
-                self.spill(keys, spill_types)?;
-                let res = self.reservation.as_mut().expect("checked");
-                let stale = res.bytes();
-                res.shrink(stale);
-            }
-        } else {
-            self.reservation.as_mut().expect("checked").shrink(held - self.bytes);
-        }
-        Ok(())
-    }
-}
-
-/// One sorted run feeding the merge: either a worker's in-memory leftover
-/// or a spilled run streamed back chunk by chunk.
-enum SortRun {
-    Memory { rows: std::vec::IntoIter<SortRow>, reservation: Option<MemoryReservation> },
-    Spill { reader: SpillReader, chunk: Option<DataChunk>, row: usize, nkeys: usize },
-}
-
-impl SortRun {
-    fn next(&mut self) -> Result<Option<SortRow>> {
-        match self {
-            SortRun::Memory { rows, reservation } => {
-                let next = rows.next();
-                if next.is_none() {
-                    // Run exhausted: release its buffered bytes promptly so
-                    // they do not overlap with the remaining runs' memory.
-                    *reservation = None;
-                }
-                Ok(next)
-            }
-            SortRun::Spill { reader, chunk, row, nkeys } => loop {
-                if let Some(c) = chunk {
-                    if *row < c.len() {
-                        let values = c.row_values(*row);
-                        *row += 1;
-                        let key = values[..*nkeys].to_vec();
-                        let pos = (
-                            values[*nkeys].as_i64().unwrap_or(0) as usize,
-                            values[*nkeys + 1].as_i64().unwrap_or(0) as usize,
-                            values[*nkeys + 2].as_i64().unwrap_or(0) as usize,
-                        );
-                        let payload = values[*nkeys + 3..].to_vec();
-                        return Ok(Some((key, pos, payload)));
-                    }
-                }
-                *chunk = reader.next_chunk()?;
-                *row = 0;
-                if chunk.is_none() {
-                    return Ok(None);
-                }
-            },
-        }
-    }
-}
-
 /// Worker-local partial results, tagged for deterministic merging.
 /// Variant sizes differ wildly but only one exists per worker, so the
 /// indirection boxing would add buys nothing.
@@ -389,7 +248,10 @@ enum LocalState {
     /// Aggregate partials plus the worker's buffer-manager reservation
     /// covering them (held until the merge step has consumed them).
     Agg(Vec<(usize, AggPartial)>, Option<MemoryReservation>),
-    Sort(SortLocal),
+    /// Sort rows while the worker consumes, sealed into sorted runs (the
+    /// worker's share of the O(n log n)) before the merge.
+    Sort(SortSink),
+    Sorted(Vec<MergeRun>),
     /// Build partials plus the reservation charging them.
     JoinBuild(Vec<(usize, usize, BuildPartial)>, Option<MemoryReservation>),
     /// Chunks of the current morsel, pushed as one queue batch at morsel
@@ -412,9 +274,8 @@ enum AggPartial {
 struct WorkerCtx {
     /// Bytes of buffered sort rows per worker before a run spills.
     sort_budget: usize,
-    /// Row layout of a spilled sort run: keys + 3 position columns +
-    /// payload (empty for non-sort sinks).
-    spill_types: Vec<LogicalType>,
+    /// The compiled ORDER BY of a sort sink.
+    sort: Option<Arc<SortSpec>>,
     /// Top-N bound (`limit + offset`): workers keep at most this many rows.
     sort_cap: Option<usize>,
 }
@@ -560,16 +421,13 @@ impl ParallelPipeline {
         let ctx = self.worker_ctx(threads);
         let scheduler = TaskScheduler::new(threads);
         let locals = scheduler.run(|_| self.run_worker(&ctx))?;
-        self.merge(locals)
+        self.merge(&ctx, locals)
     }
 
     fn worker_ctx(&self, threads: usize) -> WorkerCtx {
         let PipelineSink::Sort { keys, limit } = &self.sink else {
-            return WorkerCtx { sort_budget: usize::MAX, spill_types: Vec::new(), sort_cap: None };
+            return WorkerCtx { sort_budget: usize::MAX, sort: None, sort_cap: None };
         };
-        let mut spill_types: Vec<LogicalType> = keys.iter().map(|k| k.expr.result_type()).collect();
-        spill_types.extend([LogicalType::BigInt; 3]);
-        spill_types.extend(self.chain_types());
         // Explicit budget if one was set; otherwise a quarter of the
         // attached memory limit (the serial sort's convention); otherwise
         // unbounded (never spill).
@@ -584,8 +442,8 @@ impl ParallelPipeline {
             if total == usize::MAX { usize::MAX } else { (total / threads.max(1)).max(1 << 16) };
         WorkerCtx {
             sort_budget: per_worker,
-            spill_types,
-            sort_cap: limit.map(|(l, o)| l.saturating_add(o).max(1)),
+            sort: Some(Arc::new(SortSpec::new(keys.clone(), self.chain_types()))),
+            sort_cap: limit.map(|(l, o)| l.saturating_add(o)),
         }
     }
 
@@ -613,38 +471,17 @@ impl ParallelPipeline {
                 LocalState::Agg(Vec::new(), self.reserve()?)
             }
             PipelineSink::Sort { .. } => {
-                // Top-N buffers charge their actual footprint as they grow
-                // (spilling under pressure — see `sync_cap_charge`); full
-                // sorts reserve their run budget upfront, halving under
-                // pressure — each halving doubles how often the worker
-                // spills instead of failing the query.
-                let (reservation, budget) = if ctx.sort_cap.is_some() {
-                    (self.reserve()?, usize::MAX)
+                // Top-N buffers charge their actual footprint as they grow,
+                // spilling when the ledger refuses; full sorts reserve their
+                // run budget upfront, halving under pressure — each halving
+                // doubles how often the worker spills instead of failing.
+                let spec = Arc::clone(ctx.sort.as_ref().expect("sort sink"));
+                let sink = SortSink::new(spec, ctx.sort_cap);
+                LocalState::Sort(if ctx.sort_cap.is_some() {
+                    sink.with_charge(self.buffers.as_ref(), true)?
                 } else {
-                    match (&self.buffers, ctx.sort_budget) {
-                        (Some(buffers), mut want) if ctx.sort_budget != usize::MAX => loop {
-                            match buffers.reserve(want) {
-                                Ok(r) => break (Some(r), want),
-                                Err(_) if want <= (1 << 16) => {
-                                    // Even the floor was refused (sibling
-                                    // sessions hold the pool): run at the
-                                    // floor unaccounted — a bounded
-                                    // exception, like the serial sort's —
-                                    // rather than failing the query.
-                                    break (None, 1 << 16);
-                                }
-                                Err(_) => want /= 2,
-                            }
-                        },
-                        (_, budget) => (None, budget),
-                    }
-                };
-                LocalState::Sort(SortLocal {
-                    rows: Vec::new(),
-                    bytes: 0,
-                    budget,
-                    spills: Vec::new(),
-                    reservation,
+                    let budgeted = self.buffers.as_ref().filter(|_| ctx.sort_budget != usize::MAX);
+                    sink.with_budget(budgeted, ctx.sort_budget)
                 })
             }
             PipelineSink::JoinBuild { .. } => LocalState::JoinBuild(Vec::new(), self.reserve()?),
@@ -691,7 +528,7 @@ impl ParallelPipeline {
                 if chunk.is_empty() {
                     continue;
                 }
-                self.consume_chunk(ctx, &mut local, agg_partial.as_mut(), seq, intra, chunk)?;
+                self.consume_chunk(&mut local, agg_partial.as_mut(), seq, intra, chunk)?;
                 intra += 1;
             }
             if let (PipelineSink::Queue { queue, arm }, LocalState::Queue(pending)) =
@@ -732,27 +569,16 @@ impl ParallelPipeline {
                 parts.push((seq, partial));
             }
         }
-        if let LocalState::Sort(state) = &mut local {
-            // Local run sort happens on the worker — this is the parallel
-            // share of the O(n log n); the merge only interleaves runs.
-            if let PipelineSink::Sort { keys, .. } = &self.sink {
-                SortLocal::order(&mut state.rows, keys);
-                if let Some(cap) = ctx.sort_cap {
-                    // The final prune can discard up to ~cap rows (pruning
-                    // is amortized at 2x); give their charge back before
-                    // the merge phase instead of holding it to teardown.
-                    state.rows.truncate(cap);
-                    state.bytes = state.rows.iter().map(sort_row_bytes).sum();
-                    state.sync_cap_charge(keys, &ctx.spill_types)?;
-                }
-            }
-        }
-        Ok(local)
+        Ok(match local {
+            // The run sort happens here, on the worker: the parallel share
+            // of the O(n log n); the merge only interleaves runs.
+            LocalState::Sort(sink) => LocalState::Sorted(sink.finish()?),
+            local => local,
+        })
     }
 
     fn consume_chunk(
         &self,
-        ctx: &WorkerCtx,
         local: &mut LocalState,
         agg: Option<&mut AggPartial>,
         seq: usize,
@@ -774,31 +600,8 @@ impl ParallelPipeline {
                 let Some(AggPartial::Hash(table)) = agg else { unreachable!() };
                 update_group_table(groups, aggs, table, &chunk)?;
             }
-            (PipelineSink::Sort { keys, .. }, LocalState::Sort(state)) => {
-                let key_vectors =
-                    keys.iter().map(|k| k.expr.evaluate(&chunk)).collect::<Result<Vec<_>>>()?;
-                let mut chunk_bytes = 0usize;
-                let mut staged: Vec<SortRow> = Vec::with_capacity(chunk.len());
-                for row in 0..chunk.len() {
-                    let key: Vec<Value> = key_vectors.iter().map(|v| v.get_value(row)).collect();
-                    let payload = chunk.row_values(row);
-                    let entry = (key, (seq, intra, row), payload);
-                    chunk_bytes += sort_row_bytes(&entry);
-                    staged.push(entry);
-                }
-                state.rows.extend(staged);
-                state.bytes += chunk_bytes;
-                match ctx.sort_cap {
-                    Some(cap) => {
-                        state.prune(cap, keys);
-                        state.sync_cap_charge(keys, &ctx.spill_types)?;
-                    }
-                    None => {
-                        if state.bytes >= state.budget {
-                            state.spill(keys, &ctx.spill_types)?;
-                        }
-                    }
-                }
+            (PipelineSink::Sort { .. }, LocalState::Sort(sink)) => {
+                sink.consume(&chunk, seq, intra)?;
             }
             (PipelineSink::JoinBuild { keys }, LocalState::JoinBuild(parts, reservation)) => {
                 let partial = BuildPartial::compute(chunk, keys)?;
@@ -832,8 +635,8 @@ impl ParallelPipeline {
         queue.push_charged(buffers.as_ref(), composed, vec![chunk])
     }
 
-    fn merge(&self, locals: Vec<LocalState>) -> Result<PipelineOutput> {
-        let output = self.merge_inner(locals)?;
+    fn merge(&self, ctx: &WorkerCtx, locals: Vec<LocalState>) -> Result<PipelineOutput> {
+        let output = self.merge_inner(ctx, locals)?;
         // Result-edge streaming for the sinks the specialized branches in
         // `merge_inner` did not already stream (simple aggregates, serial
         // collect fallbacks): forward the finished chunks into the queue
@@ -858,7 +661,7 @@ impl ParallelPipeline {
         }
     }
 
-    fn merge_inner(&self, locals: Vec<LocalState>) -> Result<PipelineOutput> {
+    fn merge_inner(&self, ctx: &WorkerCtx, locals: Vec<LocalState>) -> Result<PipelineOutput> {
         match &self.sink {
             PipelineSink::Collect => {
                 let mut tagged: Vec<((usize, usize), DataChunk)> = Vec::new();
@@ -944,26 +747,17 @@ impl ParallelPipeline {
                     reservations: merge_reservation.into_iter().collect(),
                 })
             }
-            PipelineSink::Sort { keys, limit } => {
-                let nkeys = keys.len();
-                let mut runs: Vec<SortRun> = Vec::new();
-                for l in locals {
-                    let LocalState::Sort(state) = l else { unreachable!() };
-                    for reader in state.spills {
-                        runs.push(SortRun::Spill { reader, chunk: None, row: 0, nkeys });
-                    }
-                    if !state.rows.is_empty() {
-                        runs.push(SortRun::Memory {
-                            rows: state.rows.into_iter(),
-                            reservation: state.reservation,
-                        });
-                    }
-                }
-                let (take, skip) = match limit {
-                    Some((l, o)) => (*l, *o),
-                    None => (usize::MAX, 0),
-                };
-                let out_types = self.output_types();
+            PipelineSink::Sort { limit, .. } => {
+                let runs = locals
+                    .into_iter()
+                    .flat_map(|l| match l {
+                        LocalState::Sorted(runs) => runs,
+                        _ => unreachable!(),
+                    })
+                    .collect();
+                let (take, skip) = limit.unwrap_or((usize::MAX, 0));
+                let spec = Arc::clone(ctx.sort.as_ref().expect("sort sink"));
+                let mut merge = SortMerge::new(spec, runs, skip, take);
                 if let Some((queue, arm)) = &self.output_queue {
                     // The k-way merge feeds the result edge chunk by
                     // chunk: the sorted output is never materialized, and
@@ -972,19 +766,18 @@ impl ParallelPipeline {
                     // reservations as they drain; spilled runs stay on
                     // disk until pulled).
                     let mut seq = 0usize;
-                    merge_sort_runs(runs, keys, &out_types, take, skip, &mut |chunk| {
-                        Self::push_result_chunk(&self.buffers, queue, *arm, &mut seq, chunk)
-                    })?;
+                    while let Some(chunk) = merge.next_chunk()? {
+                        Self::push_result_chunk(&self.buffers, queue, *arm, &mut seq, chunk)?;
+                    }
                     return Ok(PipelineOutput::Chunks {
                         chunks: Vec::new(),
                         reservations: Vec::new(),
                     });
                 }
                 let mut chunks = Vec::new();
-                merge_sort_runs(runs, keys, &out_types, take, skip, &mut |chunk| {
+                while let Some(chunk) = merge.next_chunk()? {
                     chunks.push(chunk);
-                    Ok(())
-                })?;
+                }
                 Ok(PipelineOutput::Chunks { chunks, reservations: Vec::new() })
             }
             PipelineSink::JoinBuild { .. } => {
@@ -1045,117 +838,6 @@ fn new_state(agg: &AggExpr) -> AggState {
     )
 }
 
-/// Lexicographic total order over group-key rows. The merge itself now
-/// orders on encoded byte keys; this stays as the reference comparator
-/// the equivalence tests check that order against.
-#[cfg_attr(not(test), allow(dead_code))]
-fn cmp_value_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b) {
-        let ord = x.total_cmp(y);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    a.len().cmp(&b.len())
-}
-
-/// One run's head row inside the merge heap. Ordered as a *min*-heap
-/// entry: `BinaryHeap` pops its maximum, so the comparison is reversed
-/// here — the heap's top is the smallest (key, scan position) pair.
-struct HeapEntry<'a> {
-    row: SortRow,
-    run: usize,
-    keys: &'a [SortKey],
-}
-
-impl PartialEq for HeapEntry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapEntry<'_> {}
-impl PartialOrd for HeapEntry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: smallest sorts to the heap's top.
-        compare_keys(&other.row.0, &self.row.0, self.keys).then(other.row.1.cmp(&self.row.1))
-    }
-}
-
-/// Streaming k-way merge of sorted runs (in-memory and spilled), skipping
-/// `skip` rows and emitting at most `take` — each completed output chunk
-/// is handed to `sink` as soon as it fills, so a caller that forwards
-/// chunks into a bounded queue never holds the full sorted result. Ties
-/// fall back to scan position, reproducing a stable serial sort — the
-/// comparator is total, so the merged order does not depend on how rows
-/// were distributed across runs. Run heads sit in a binary heap, so each
-/// emitted row costs `O(log k)` comparisons instead of a scan over every
-/// head — the difference between usable and pathological once spilling
-/// yields dozens of runs.
-fn merge_sort_runs(
-    mut runs: Vec<SortRun>,
-    keys: &[SortKey],
-    out_types: &[LogicalType],
-    take: usize,
-    skip: usize,
-    sink: &mut dyn FnMut(DataChunk) -> Result<()>,
-) -> Result<()> {
-    if take == 0 {
-        return Ok(());
-    }
-    let mut out = DataChunk::new(out_types);
-    let mut skipped = 0usize;
-    let mut emitted = 0usize;
-    let mut emit = |row: SortRow,
-                    out: &mut DataChunk,
-                    sink: &mut dyn FnMut(DataChunk) -> Result<()>|
-     -> Result<bool> {
-        if skipped < skip {
-            skipped += 1;
-            return Ok(emitted < take);
-        }
-        out.append_row(&row.2)?;
-        emitted += 1;
-        if out.len() >= VECTOR_SIZE {
-            sink(std::mem::replace(out, DataChunk::new(out_types)))?;
-        }
-        Ok(emitted < take)
-    };
-    if runs.len() == 1 {
-        // A single run (one worker, nothing spilled) is already in order:
-        // stream it out without per-row comparisons.
-        while let Some(row) = runs[0].next()? {
-            if !emit(row, &mut out, sink)? {
-                break;
-            }
-        }
-    } else {
-        let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
-        for (i, run) in runs.iter_mut().enumerate() {
-            if let Some(row) = run.next()? {
-                heap.push(HeapEntry { row, run: i, keys });
-            }
-        }
-        while let Some(HeapEntry { row, run, .. }) = heap.pop() {
-            let more = emit(row, &mut out, sink)?;
-            if let Some(next) = runs[run].next()? {
-                heap.push(HeapEntry { row: next, run, keys });
-            }
-            if !more {
-                break;
-            }
-        }
-    }
-    if !out.is_empty() {
-        sink(out)?;
-    }
-    Ok(())
-}
-
 /// Split aggregate locals into partials plus the worker reservations that
 /// keep them accounted; the caller holds the reservations until the merge
 /// has consumed every partial.
@@ -1186,6 +868,18 @@ mod tests {
     use eider_txn::{CmpOp, DataTable, ScanOptions, TableFilter, TransactionManager};
 
     const ROWS: i32 = 40_000;
+
+    /// Lexicographic total order over group-key rows: the reference the
+    /// byte-keyed merges' output order is checked against.
+    fn cmp_value_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+        for (x, y) in a.iter().zip(b) {
+            let ord = x.total_cmp(y);
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        a.len().cmp(&b.len())
+    }
 
     /// Two-column table: (i, i % 7), scanned with a `< 30_000` filter
     /// pushed down and a residual pipeline filter on parity.

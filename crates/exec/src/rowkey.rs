@@ -40,6 +40,17 @@
 //! hashes the typed column data directly (one tight loop per physical
 //! type), which is cheaper and agrees with the encoding because both
 //! normalize doubles the same way.
+//!
+//! ### Ordered variant
+//!
+//! [`KeyLayout::ordered`] gives each column an ORDER BY direction and NULL
+//! placement, so `memcmp` reproduces a whole `ORDER BY` clause (the sort
+//! core in [`crate::ops::sort`] compares nothing else). A `DESC` column
+//! inverts its payload bytes (every column encoding is prefix-free, so
+//! inversion reverses the order exactly); `NULLS FIRST` writes the NULL
+//! sentinel as `0x00`, below the valid `0x01`. NaN (all NaNs fold into one)
+//! sorts after `+inf` ascending, `-0.0` ties with `+0.0`. Ordered keys are
+//! compared, never decoded.
 
 use crate::fxhash::{hash_vector, normalize_f64};
 use eider_vector::{EiderError, LogicalType, Result, Value, Vector, VectorData};
@@ -50,6 +61,8 @@ pub const KEY_VALID: u8 = 0x01;
 /// Sentinel byte of a NULL key column; sorts after every valid value,
 /// matching `ORDER BY ... NULLS LAST` ([`Value::total_cmp`]).
 pub const KEY_NULL: u8 = 0xFF;
+/// NULL sentinel of a `NULLS FIRST` column in an ordered layout.
+pub const KEY_NULL_FIRST: u8 = 0x00;
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
@@ -64,6 +77,13 @@ fn payload_width(ty: LogicalType) -> Option<usize> {
     })
 }
 
+/// ORDER BY direction and NULL placement of one ordered-layout column.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyOrder {
+    pub descending: bool,
+    pub nulls_first: bool,
+}
+
 /// The compile-once shape of a key row: column types plus the derived
 /// fixed row width (`None` when a `VARCHAR` column makes rows variable).
 #[derive(Debug, Clone)]
@@ -74,6 +94,8 @@ pub struct KeyLayout {
     /// Per-column payload offset within a fixed-width row (sentinel at
     /// `offset`, payload at `offset + 1`). Empty for variable layouts.
     offsets: Vec<usize>,
+    /// Per-column order of an ordered layout; empty for grouping layouts.
+    order: Vec<KeyOrder>,
 }
 
 impl KeyLayout {
@@ -89,7 +111,12 @@ impl KeyLayout {
         if width.is_none() {
             offsets.clear();
         }
-        KeyLayout { types, fixed_width: width, offsets }
+        KeyLayout { types, fixed_width: width, offsets, order: Vec::new() }
+    }
+
+    /// An ORDER BY layout (see "Ordered variant" in the module docs).
+    pub fn ordered(types: Vec<LogicalType>, order: Vec<KeyOrder>) -> KeyLayout {
+        KeyLayout { order, ..KeyLayout::new(types) }
     }
 
     pub fn types(&self) -> &[LogicalType] {
@@ -321,73 +348,92 @@ pub fn encode_keys<V: Borrow<Vector>>(
                 }
                 VectorData::Str(_) => unreachable!("varchar in fixed-width layout"),
             }
-        }
-    } else {
-        // Variable layout (VARCHAR present): row-major encoding. NULL
-        // columns carry no payload here — the sentinel alone decides both
-        // equality and order.
-        //
-        // Dictionary-coded varchar columns encode each distinct value
-        // once per *dictionary* (the escape-terminated fragment is cached
-        // on it); per row the encoder then copies the pre-built fragment
-        // instead of re-escaping the string bytes.
-        type DictParts<'a> = Option<(&'a [Vec<u8>], &'a [u32])>;
-        let dict_cols: Vec<DictParts> = (0..columns.len())
-            .map(|c| {
-                col(c).dict_parts().map(|(dict, codes)| {
-                    let frags = dict.key_fragments(|vals| {
-                        vals.iter()
-                            .map(|s| {
-                                let mut b = Vec::with_capacity(s.len() + 2);
-                                encode_str(&mut b, s);
-                                b
-                            })
-                            .collect()
-                    });
-                    (frags, codes)
-                })
-            })
-            .collect();
-        for i in 0..count {
-            scratch.starts.push(scratch.bytes.len() as u32);
-            for (c, dict_col) in dict_cols.iter().enumerate() {
-                let v = col(c);
-                if v.is_null(i) {
-                    scratch.bytes.push(KEY_NULL);
-                    scratch.has_null[i] = true;
-                    continue;
-                }
-                if let Some((frags, codes)) = dict_col {
-                    scratch.bytes.push(KEY_VALID);
-                    scratch.bytes.extend_from_slice(&frags[codes[i] as usize]);
-                    continue;
-                }
-                scratch.bytes.push(KEY_VALID);
-                match v.data() {
-                    VectorData::Bool(d) => scratch.bytes.push(u8::from(d[i])),
-                    VectorData::I8(d) => scratch.bytes.push((d[i] as u8) ^ 0x80),
-                    VectorData::I16(d) => {
-                        scratch.bytes.extend_from_slice(&((d[i] as u16) ^ 0x8000).to_be_bytes())
+            // An ordered column other than ASC NULLS LAST: flip in place.
+            if let Some(o) = layout.order.get(c).filter(|o| o.descending || o.nulls_first) {
+                let pw = payload_width(layout.types[c]).expect("fixed layout");
+                for col in bytes.chunks_exact_mut(stride).map(|row| &mut row[co..=co + pw]) {
+                    match col[0] {
+                        KEY_NULL if o.nulls_first => col[0] = KEY_NULL_FIRST,
+                        KEY_VALID if o.descending => col[1..].iter_mut().for_each(|b| *b = !*b),
+                        _ => {}
                     }
-                    VectorData::I32(d) => scratch
-                        .bytes
-                        .extend_from_slice(&((d[i] as u32) ^ 0x8000_0000).to_be_bytes()),
-                    VectorData::I64(d) => {
-                        scratch.bytes.extend_from_slice(&encode_u64_ord(d[i]).to_be_bytes())
-                    }
-                    VectorData::F64(d) => {
-                        scratch.bytes.extend_from_slice(&encode_f64_ord(d[i]).to_be_bytes())
-                    }
-                    VectorData::Str(d) => encode_str(&mut scratch.bytes, &d[i]),
                 }
             }
         }
+    } else if layout.order.is_empty() {
+        encode_variable::<false>(layout, col, count, scratch);
+    } else {
+        encode_variable::<true>(layout, col, count, scratch);
     }
     Ok(())
 }
 
+/// Variable layout (VARCHAR present): row-major; a NULL column is its
+/// sentinel alone. A dict-coded varchar copies each value's escaped
+/// fragment, built once per dictionary. `ORDERED` compiles the ORDER BY
+/// handling in, so grouping keys pay nothing for it.
+fn encode_variable<'a, const ORDERED: bool>(
+    layout: &KeyLayout,
+    col: impl Fn(usize) -> &'a Vector,
+    count: usize,
+    scratch: &mut KeyScratch,
+) {
+    let dict_cols: Vec<_> = (0..layout.types.len())
+        .map(|c| {
+            col(c).dict_parts().map(|(dict, codes)| {
+                let frags = dict.key_fragments(|vals| {
+                    vals.iter()
+                        .map(|s| {
+                            let mut b = Vec::with_capacity(s.len() + 2);
+                            encode_str(&mut b, s);
+                            b
+                        })
+                        .collect()
+                });
+                (frags, codes)
+            })
+        })
+        .collect();
+    for i in 0..count {
+        scratch.starts.push(scratch.bytes.len() as u32);
+        for (c, dict_col) in dict_cols.iter().enumerate() {
+            let v = col(c);
+            let order = if ORDERED { layout.order[c] } else { KeyOrder::default() };
+            if v.is_null(i) {
+                scratch.bytes.push(if order.nulls_first { KEY_NULL_FIRST } else { KEY_NULL });
+                scratch.has_null[i] = true;
+                continue;
+            }
+            let bytes = &mut scratch.bytes;
+            bytes.push(KEY_VALID);
+            let start = bytes.len();
+            match (dict_col, v.data()) {
+                (Some((frags, codes)), _) => bytes.extend_from_slice(&frags[codes[i] as usize]),
+                (None, VectorData::Bool(d)) => bytes.push(u8::from(d[i])),
+                (None, VectorData::I8(d)) => bytes.push((d[i] as u8) ^ 0x80),
+                (None, VectorData::I16(d)) => {
+                    bytes.extend_from_slice(&((d[i] as u16) ^ 0x8000).to_be_bytes())
+                }
+                (None, VectorData::I32(d)) => {
+                    bytes.extend_from_slice(&((d[i] as u32) ^ 0x8000_0000).to_be_bytes())
+                }
+                (None, VectorData::I64(d)) => {
+                    bytes.extend_from_slice(&encode_u64_ord(d[i]).to_be_bytes())
+                }
+                (None, VectorData::F64(d)) => {
+                    bytes.extend_from_slice(&encode_f64_ord(d[i]).to_be_bytes())
+                }
+                (None, VectorData::Str(d)) => encode_str(bytes, &d[i]),
+            }
+            if order.descending {
+                bytes[start..].iter_mut().for_each(|b| *b = !*b);
+            }
+        }
+    }
+}
+
 /// Decode one encoded key row, appending one value to each output vector
-/// (which must match the layout's types in order).
+/// (which must match the layout's types in order). Grouping layouts only.
 pub fn decode_key_into(layout: &KeyLayout, key: &[u8], out: &mut [Vector]) -> Result<()> {
     let mut p = 0usize;
     for (c, &ty) in layout.types.iter().enumerate() {

@@ -229,15 +229,6 @@ impl Value {
             }
         }
     }
-
-    /// Approximate heap footprint, used by memory accounting (§4).
-    pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Value>()
-            + match self {
-                Value::Varchar(s) => s.capacity(),
-                _ => 0,
-            }
-    }
 }
 
 /// Equality matches `sql_cmp == Equal` and, unlike SQL, makes NULL == NULL

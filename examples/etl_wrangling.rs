@@ -15,8 +15,9 @@ fn main() -> Result<()> {
     // Fabricate the "existing CSV file" a data scientist would start from:
     // sensor exports where -999 encodes missing values (the McMullen
     // convention the paper quotes).
+    let nanos = std::time::UNIX_EPOCH.elapsed().map_or(0, |d| d.as_nanos());
     let mut csv = std::env::temp_dir();
-    csv.push(format!("eider_etl_example_{}.csv", std::process::id()));
+    csv.push(format!("eider_etl_example_{}_{nanos}.csv", std::process::id()));
     {
         let mut w = CsvWriter::create(&csv, Some(&["id".into(), "d".into(), "v".into()]), ',')?;
         for chunk in Workload::new(42).wrangling_chunks(500_000, 0.25)? {

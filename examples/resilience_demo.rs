@@ -11,8 +11,9 @@ use eider::{Database, Result};
 use std::io::{Read, Seek, SeekFrom, Write};
 
 fn main() -> Result<()> {
+    let nanos = std::time::UNIX_EPOCH.elapsed().map_or(0, |d| d.as_nanos());
     let mut path = std::env::temp_dir();
-    path.push(format!("eider_resilience_demo_{}.db", std::process::id()));
+    path.push(format!("eider_resilience_demo_{}_{nanos}.db", std::process::id()));
     let wal = format!("{}.wal", path.display());
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&wal);

@@ -150,3 +150,43 @@ fn steady_state_join_probe_allocates_per_chunk_not_per_row() {
          (per-row allocation regressed)"
     );
 }
+
+#[test]
+fn steady_state_sort_and_topn_sinks_allocate_per_chunk_not_per_row() {
+    use eider_exec::ops::sort::{SortKey, SortSink, SortSpec};
+    let keys = vec![
+        SortKey::desc(Expr::column(1, LogicalType::Integer)),
+        SortKey::asc(Expr::column(0, LogicalType::Integer)),
+    ];
+    let types = vec![LogicalType::Integer, LogicalType::Integer];
+    let spec = Arc::new(SortSpec::new(keys, types.clone()));
+    // Every chunk holds fresh values, so the Top-N keeps meeting (a few)
+    // new winners instead of rejecting everything after the first chunk.
+    let chunks: Vec<DataChunk> = (0..8)
+        .map(|c| {
+            let rows: Vec<Vec<Value>> = (0..ROWS as i32)
+                .map(|i| {
+                    let id = c * ROWS as i32 + i;
+                    vec![Value::Integer(id), Value::Integer(id.wrapping_mul(7919) % 100_003)]
+                })
+                .collect();
+            DataChunk::from_rows(&types, &rows).unwrap()
+        })
+        .collect();
+    for cap in [None, Some(100)] {
+        let mut sink = SortSink::new(Arc::clone(&spec), cap);
+        for (seq, chunk) in chunks[..7].iter().enumerate() {
+            sink.consume(chunk, seq, 0).unwrap();
+        }
+        // One more 2048-row chunk: key evaluation and encoding into reused
+        // scratch, amortized arena growth, columnar appends — a handful of
+        // allocations per chunk, where a `Vec<Value>` per row would make
+        // thousands.
+        let allocs = allocations(|| sink.consume(&chunks[7], 7, 0).unwrap());
+        assert!(
+            allocs < 64,
+            "sort sink (cap {cap:?}) made {allocs} allocations for {ROWS} rows \
+             (per-row allocation regressed)"
+        );
+    }
+}

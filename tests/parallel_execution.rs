@@ -208,6 +208,43 @@ fn oversized_sorts_spill_worker_runs_instead_of_falling_back() {
 }
 
 #[test]
+fn sorts_are_bit_identical_across_thread_counts_directions_and_spills() {
+    // The serial sort and Top-N (threads = 1) and the DAG at 2, 4 and 8
+    // workers must agree row for row: NULL placement in both directions,
+    // varchar keys whose heavy ties only the scan position breaks, and
+    // LIMIT/OFFSET windows whose candidates straddle chunk (2048-row) and
+    // morsel boundaries — unconstrained and under a 1 MB limit that forces
+    // the full sorts to spill.
+    let db = wrangling_db(ROWS, 0.25, 43).unwrap();
+    let conn = db.connect();
+    conn.execute("UPDATE t SET d = NULL WHERE d = -999").unwrap();
+    conn.execute("CREATE TABLE s (id INTEGER, tag VARCHAR, w DOUBLE)").unwrap();
+    conn.execute("INSERT INTO s SELECT id, CAST(id % 13 AS VARCHAR), v FROM t").unwrap();
+    let queries = [
+        "SELECT id, d FROM t ORDER BY d DESC NULLS LAST, id",
+        "SELECT id, d, v FROM t ORDER BY d ASC NULLS FIRST, v DESC",
+        "SELECT tag, id FROM s ORDER BY tag DESC",
+        "SELECT tag, w, id FROM s ORDER BY tag, w NULLS FIRST",
+        "SELECT id, d FROM t ORDER BY d NULLS FIRST, id DESC LIMIT 5000 OFFSET 2040",
+        "SELECT id, v FROM t ORDER BY id % 100, id DESC LIMIT 3000 OFFSET 2047",
+        "SELECT tag, id FROM s ORDER BY tag LIMIT 4100 OFFSET 2000",
+    ];
+    for sql in queries {
+        let reference = rows_for(&db, sql, 1);
+        assert!(reference.len() >= 3000, "{sql}");
+        for limit in [1_073_741_824, 1_000_000] {
+            conn.execute(&format!("PRAGMA memory_limit = {limit}")).unwrap();
+            for threads in [1, 2, 4, 8] {
+                let rows = rows_for(&db, sql, threads);
+                assert!(rows == reference, "{sql}: threads={threads} memory_limit={limit}");
+            }
+        }
+        conn.execute("PRAGMA memory_limit = 1073741824").unwrap();
+    }
+    assert_eq!(db.buffers().used_memory(), 0, "sort reservations all released");
+}
+
+#[test]
 fn topn_and_distinct_survive_tight_memory_limits() {
     let db = wrangling_db(ROWS, 0.25, 23).unwrap();
     let conn = db.connect();

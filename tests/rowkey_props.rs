@@ -1,10 +1,15 @@
 //! Property tests for the row-format key encoding: `memcmp` over encoded
 //! keys must agree with `Value::total_cmp` (ordering *and* equality), and
-//! decoding must invert encoding, for arbitrary typed rows.
+//! decoding must invert encoding, for arbitrary typed rows. The ordered
+//! variant (ORDER BY direction and NULL placement per column) must agree
+//! with the sort's reference comparator, `compare_keys`.
 
-use eider_exec::rowkey::{decode_key_values, encode_keys, KeyLayout, KeyScratch};
-use eider_vector::{LogicalType, Value, Vector};
+use eider_exec::expression::Expr;
+use eider_exec::ops::sort::{compare_keys, SortKey};
+use eider_exec::rowkey::{decode_key_values, encode_keys, KeyLayout, KeyOrder, KeyScratch};
+use eider_vector::{LogicalType, StrDict, ValidityMask, Value, Vector};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Encode a slice of same-typed rows; returns one byte string per row.
 fn encode_rows(types: &[LogicalType], rows: &[Vec<Value>]) -> Vec<Vec<u8>> {
@@ -42,8 +47,97 @@ fn arb_string() -> impl Strategy<Value = Value> {
     prop_oneof!["[a-c%_\u{0}]{0,12}".prop_map(Value::Varchar), Just(Value::Null)]
 }
 
+/// Integers and bigints (`any` mixes in MIN, MAX and 0), doubles with
+/// ±0.0, ±inf, NaN and the extremes, short strings over `{a, b, NUL}`
+/// (empty strings, embedded NULs, prefixes of one another), and NULLs.
+fn arb_sort_row() -> impl Strategy<Value = Vec<Value>> {
+    let int = prop_oneof![any::<i32>().prop_map(Value::Integer), Just(Value::Null)];
+    let big = prop_oneof![any::<i64>().prop_map(Value::BigInt), Just(Value::Null)];
+    let double = prop_oneof![
+        any::<f64>().prop_map(Value::Double),
+        Just(Value::Double(f64::INFINITY)),
+        Just(Value::Double(f64::NEG_INFINITY)),
+        Just(Value::Double(f64::NAN)),
+        Just(Value::Null),
+    ];
+    let string = prop_oneof!["[ab\u{0}]{0,3}".prop_map(Value::Varchar), Just(Value::Null)];
+    (int, big, double, string).prop_map(|(a, b, c, d)| vec![a, b, c, d])
+}
+
+const SORT_TYPES: [LogicalType; 4] =
+    [LogicalType::Integer, LogicalType::BigInt, LogicalType::Double, LogicalType::Varchar];
+
+/// The varchar column of `rows` as a dictionary-coded vector.
+fn dict_column(rows: &[Vec<Value>]) -> Vector {
+    let mut values: Vec<String> = Vec::new();
+    let mut validity = ValidityMask::default();
+    let mut codes = Vec::new();
+    for v in rows.iter().map(|r| &r[3]) {
+        let s = v.as_str().unwrap_or("");
+        let code = values.iter().position(|x| x == s).unwrap_or_else(|| {
+            values.push(s.to_string());
+            values.len() - 1
+        });
+        codes.push(code as u32);
+        validity.push(!v.is_null());
+    }
+    Vector::from_dict(LogicalType::Varchar, Arc::new(StrDict::new(values)), codes, validity)
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn ordered_key_order_matches_compare_keys_then_position(
+        rows in prop::collection::vec(arb_sort_row(), 2..7),
+        dirs in prop::collection::vec((any::<bool>(), any::<bool>()), 4..5),
+        dict in any::<bool>(),
+    ) {
+        // Every key is suffixed with its row's position, as the sort core
+        // does: memcmp must then equal compare_keys with position as the
+        // tie-break. Both encoder paths run: all four columns (varchar
+        // makes the layout variable) and the fixed-width first three.
+        for width in [4, 3] {
+            let keys: Vec<SortKey> = (0..width)
+                .map(|c| SortKey {
+                    expr: Expr::column(c, SORT_TYPES[c]),
+                    descending: dirs[c].0,
+                    nulls_first: dirs[c].1,
+                })
+                .collect();
+            let order = keys
+                .iter()
+                .map(|k| KeyOrder { descending: k.descending, nulls_first: k.nulls_first })
+                .collect();
+            let layout = KeyLayout::ordered(SORT_TYPES[..width].to_vec(), order);
+            let mut columns: Vec<Vector> = (0..width)
+                .map(|c| {
+                    let vals: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+                    Vector::from_values(SORT_TYPES[c], &vals).unwrap()
+                })
+                .collect();
+            if dict && width == 4 {
+                columns[3] = dict_column(&rows);
+            }
+            let mut scratch = KeyScratch::default();
+            encode_keys(&layout, &columns, rows.len(), &mut scratch).unwrap();
+            let key = |i: usize| [scratch.key(i), &(i as u64).to_be_bytes()].concat();
+            for i in 0..rows.len() {
+                for j in 0..rows.len() {
+                    let expected = compare_keys(&rows[i], &rows[j], &keys).then(i.cmp(&j));
+                    prop_assert_eq!(
+                        key(i).cmp(&key(j)),
+                        expected,
+                        "{:?} vs {:?} under {:?}",
+                        &rows[i][..width],
+                        &rows[j][..width],
+                        &dirs[..width]
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn integer_key_order_matches_value_order(
