@@ -9,8 +9,6 @@ pub struct DatabaseConfig {
     pub memory_limit: usize,
     /// Worker thread cap (PRAGMA threads).
     pub threads: usize,
-    /// Memory-test fresh buffers on allocation (§3).
-    pub memtest_allocations: bool,
     /// WAL size (bytes) that triggers an automatic checkpoint.
     pub wal_autocheckpoint: u64,
     /// Feed the cooperation policy's host CPU load from the real `/proc`
@@ -32,7 +30,6 @@ impl Default for DatabaseConfig {
                 .and_then(|v| v.parse().ok())
                 .filter(|&n: &usize| n >= 1)
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get())),
-            memtest_allocations: true,
             wal_autocheckpoint: 16 << 20,
             host_probe: false,
         }

@@ -143,13 +143,7 @@ impl Connection {
                 None => (Arc::new(self.db.txn_manager().begin()), true),
             }
         };
-        let ctx = self.plan_ctx();
-        let lowered = match planner::lower_parallel(&ctx, &txn, &plan) {
-            Ok(Some(parallel)) => Ok(parallel),
-            Ok(None) => planner::lower(&ctx, &txn, &plan),
-            Err(e) => Err(e),
-        };
-        match lowered {
+        match planner::lower(&self.plan_ctx(), &txn, &plan) {
             Ok(op) => Ok(ResultCursor::streaming(
                 Arc::clone(&self.db),
                 self.session.buffers(),
@@ -224,11 +218,10 @@ impl Connection {
             LogicalPlan::Explain { input } => {
                 let mut lines: Vec<Vec<Value>> =
                     input.explain().lines().map(|l| vec![Value::Varchar(l.to_string())]).collect();
-                // Physical routing verdict: would this plan run on the
+                // Physical routing verdict: does this plan run on the
                 // parallel pipeline DAG, and with how many workers?
                 if is_plain_query(input) {
-                    let hint = planner::routing_hint(&self.plan_ctx(), input);
-                    lines.push(vec![Value::Varchar(hint)]);
+                    lines.push(vec![Value::Varchar(self.routing(input)?)]);
                 }
                 let chunk = DataChunk::from_rows(&[LogicalType::Varchar], &lines)?;
                 return Ok(MaterializedResult::new(
@@ -283,6 +276,19 @@ impl Connection {
         } else {
             result
         }
+    }
+
+    /// `EXPLAIN`'s routing line: lower `plan` exactly as execution would,
+    /// under a throwaway transaction, and report the DAG that lowering
+    /// built. Nothing runs — graphs start on their first pull.
+    fn routing(&self, plan: &LogicalPlan) -> Result<String> {
+        let ctx = self.plan_ctx();
+        let txn = Arc::new(self.db.txn_manager().begin());
+        let lowered = planner::lower(&ctx, &txn, plan).map(drop);
+        if let Ok(txn) = Arc::try_unwrap(txn) {
+            txn.rollback()?;
+        }
+        lowered.map(|()| ctx.routing())
     }
 
     fn take_txn(&self) -> Result<Transaction> {
@@ -498,17 +504,10 @@ impl Connection {
                 }
                 Ok(count_result(writer.finish()?))
             }
-            // Plain queries: morsel-parallel when the planner recognizes
-            // the shape and the cooperation policy grants more than one
-            // worker; the serial pull loop otherwise.
             query => {
                 let names = query.output_names();
                 let types = query.output_types();
-                let ctx = self.plan_ctx();
-                let mut op = match planner::lower_parallel(&ctx, txn, &query)? {
-                    Some(parallel) => parallel,
-                    None => planner::lower(&ctx, txn, &query)?,
-                };
+                let mut op = planner::lower(&self.plan_ctx(), txn, &query)?;
                 let chunks = drain(op.as_mut())?;
                 Ok(MaterializedResult::new(names, types, chunks))
             }

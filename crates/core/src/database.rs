@@ -166,13 +166,7 @@ impl Database {
     }
 
     fn build_with_health(config: DatabaseConfig, health: Arc<HealthMonitor>) -> Result<Database> {
-        let buffers = BufferManager::with_health(
-            BufferManagerConfig {
-                memory_limit: config.memory_limit,
-                memtest_allocations: config.memtest_allocations,
-            },
-            Arc::clone(&health),
-        );
+        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: config.memory_limit });
         let policy = ResourcePolicy::new();
         policy.set_memory_limit(config.memory_limit);
         policy.set_threads(config.threads);

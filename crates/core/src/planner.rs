@@ -1,30 +1,42 @@
 //! The physical planner: lowers bound logical plans onto executable
 //! operators, consulting the cooperation policy for strategy choices (§4).
 //!
-//! Two lowering paths exist:
+//! [`lower`] is one recursion. At every node it first tries to cover the
+//! node's whole subtree with a **pipeline DAG**
+//! ([`eider_exec::parallel::graph`]); when the shape is not one the DAG
+//! recognizes, the node becomes its serial Vector Volcano operator over
+//! recursively lowered inputs. A DAG node is either a morsel-parallel
+//! pipeline (`scan → filter*/project*/probe* → sink`) or a
+//! serially-evaluated breaker input (a join build or probe side too small
+//! or irregular to split); breaker state — the shared immutable
+//! [`BuildSide`](eider_exec::ops::BuildSide), spilled sort runs, bounded
+//! [`ChunkQueue`] chunk streams — flows between nodes under the graph's
+//! readiness scheduler (independent nodes run concurrently). Recognized
+//! shapes: plain chains, aggregates (grouped and simple), ORDER BY with
+//! disk-spilling runs, ORDER BY + LIMIT as a bounded Top-N, DISTINCT as a
+//! grouped aggregate, hash joins with morsel-parallel probe (and build,
+//! when the build side is itself a chain), UNION ALL of parallel arms, and
+//! agg/sort/Top-N/DISTINCT *above* a UNION ALL as chunk-queue producers +
+//! a concurrently-consuming sink pipeline.
 //!
-//! * [`lower`] — the serial Vector Volcano pull pipeline, able to execute
-//!   every plan;
-//! * [`lower_parallel`] — decomposes the plan into a **pipeline DAG**
-//!   ([`eider_exec::parallel::graph`]) when it can prove the shape
-//!   parallel-safe, returning `None` otherwise so the caller falls back to
-//!   [`lower`]. A DAG node is either a morsel-parallel pipeline
-//!   (`scan → filter*/project*/probe* → sink`) or a serially-evaluated
-//!   breaker input (a join build or probe side too small or irregular to
-//!   split); breaker state — the shared immutable
-//!   [`BuildSide`](eider_exec::ops::BuildSide), spilled sort runs, bounded
-//!   [`ChunkQueue`] chunk streams — flows between nodes under the graph's
-//!   readiness scheduler (independent nodes run concurrently). Recognized
-//!   shapes: plain chains, aggregates (grouped and simple), ORDER BY with
-//!   disk-spilling runs, ORDER BY + LIMIT as a bounded Top-N, DISTINCT as
-//!   a grouped aggregate, hash joins with morsel-parallel probe (and
-//!   build, when the build side is itself a chain), UNION ALL of parallel
-//!   arms, agg/sort/Top-N/DISTINCT *above* a UNION ALL as chunk-queue
-//!   producers + a concurrently-consuming sink pipeline, and serial
-//!   projection/filter/aggregate/sort/distinct wrappers over any of the
-//!   above. Worker count is the cooperation policy's
-//!   [`worker_threads`](eider_coop::policy::ResourcePolicy::worker_threads)
-//!   — `PRAGMA threads` clamped by host CPU load.
+//! Two routing rules bound the fan-out:
+//!
+//! * **At most one DAG per statement.** [`PlanCtx`] records the first
+//!   graph built (in pre-order); every node lowered after it, and every
+//!   serial input inside it, lowers at one worker. A statement therefore
+//!   takes at most one [`WorkerFleet`](eider_exec::parallel::WorkerFleet)
+//!   lease, and never holds one while waiting at the admission gate for a
+//!   second.
+//! * **A plain `LIMIT` keeps its streaming input at one worker.** It stops
+//!   pulling early; a morsel fan-out underneath it cannot. What below it is
+//!   read in full still fans out: the input of an aggregate, sort or
+//!   DISTINCT, and a join's build side (a parallel build under a serial
+//!   probe).
+//!
+//! Worker count is the cooperation policy's
+//! [`worker_threads`](eider_coop::policy::ResourcePolicy::worker_threads)
+//! — `PRAGMA threads` clamped by host CPU load — sampled once per
+//! statement.
 
 use crate::database::Database;
 use eider_coop::policy::{choose_join_strategy, JoinStrategy};
@@ -45,10 +57,12 @@ use eider_sql::plan::LogicalPlan;
 use eider_storage::buffer::BufferManager;
 use eider_txn::{DataTable, ScanOptions, Transaction};
 use eider_vector::{DataChunk, EiderError, LogicalType, Result, VECTOR_SIZE};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// Per-session planning context: the shared database plus the issuing
-/// session's buffer-manager account (a quota sub-account carved out of
+/// Per-statement planning context: the shared database, the record of
+/// the statement's one pipeline DAG, and the issuing session's
+/// buffer-manager account (a quota sub-account carved out of
 /// the database's root account — see
 /// [`BufferManager::sub_account`]). Every budget-sized decision — sort
 /// run budgets, streaming-queue bounds, hash-vs-merge join strategy,
@@ -59,18 +73,20 @@ use std::sync::Arc;
 pub struct PlanCtx<'a> {
     db: &'a Database,
     buffers: Arc<BufferManager>,
+    /// The statement's pipeline DAG, once lowering built it: its worker
+    /// count and node count.
+    graph: Cell<Option<(usize, usize)>>,
 }
 
 impl<'a> PlanCtx<'a> {
     pub fn new(db: &'a Database, buffers: Arc<BufferManager>) -> Self {
-        PlanCtx { db, buffers }
+        PlanCtx { db, buffers, graph: Cell::new(None) }
     }
 
     /// A context accounting directly against the database's root account
     /// (single-session embedding paths and tests).
     pub fn root(db: &'a Database) -> Self {
-        let buffers = db.buffers();
-        PlanCtx { db, buffers }
+        PlanCtx::new(db, db.buffers())
     }
 
     pub fn db(&self) -> &'a Database {
@@ -86,6 +102,15 @@ impl<'a> PlanCtx<'a> {
     /// limit (and by the §4 host-feedback controller when enabled).
     fn budget(&self) -> usize {
         self.buffers.memory_limit()
+    }
+
+    /// `EXPLAIN`'s one-line routing verdict for the statement lowered
+    /// under this context: the DAG it built, if any.
+    pub fn routing(&self) -> String {
+        match self.graph.get() {
+            Some((threads, nodes)) => format!("ROUTING parallel threads={threads} nodes={nodes}"),
+            None => "ROUTING serial".to_string(),
+        }
     }
 }
 
@@ -137,9 +162,59 @@ fn estimate_build_bytes(plan: &LogicalPlan) -> usize {
     estimate_rows(plan).saturating_mul(width.saturating_add(16)) as usize
 }
 
+/// §4: the build side's estimated footprint against currently available
+/// memory decides hash vs out-of-core merge join. Left/semi/anti joins
+/// are hash-only.
+fn join_strategy(ctx: &PlanCtx<'_>, build: &LogicalPlan, join_type: JoinType) -> JoinStrategy {
+    if join_type == JoinType::Inner {
+        choose_join_strategy(estimate_build_bytes(build), ctx.buffers.available_memory())
+    } else {
+        JoinStrategy::Hash
+    }
+}
+
 /// Lower a logical query plan (SELECT-shaped nodes plus INSERT/UPDATE/
-/// DELETE) to a physical operator tree.
+/// DELETE) to a physical operator tree — once per statement, with a
+/// fresh [`PlanCtx`].
 pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> Result<OperatorBox> {
+    // §4's loop: sample the real host before deciding the fan-out (no-op
+    // unless `PRAGMA host_probe` enabled the /proc sampler).
+    ctx.db.refresh_host_load();
+    let threads = ctx.db.policy().worker_threads();
+    if threads > 1 {
+        // Publish the policy's worker total to the shared fleet:
+        // concurrently admitted graphs divide *this* number between them
+        // each launch round.
+        ctx.db.fleet().set_threads(threads);
+    }
+    lower_node(ctx, txn, plan, threads, false)
+}
+
+/// Lower one node with up to `threads` workers: the pipeline DAG when it
+/// covers the node's subtree, else the node's serial operator.
+/// `stops_early` marks input a plain LIMIT may stop pulling; of it, only
+/// what is read in full fans out — the input of an aggregate, sort or
+/// DISTINCT, and a join's build side.
+fn lower_node(
+    ctx: &PlanCtx<'_>,
+    txn: &Arc<Transaction>,
+    plan: &LogicalPlan,
+    threads: usize,
+    stops_early: bool,
+) -> Result<OperatorBox> {
+    let stops_early = stops_early
+        && !matches!(
+            plan,
+            LogicalPlan::Aggregate { .. } | LogicalPlan::Sort { .. } | LogicalPlan::Distinct { .. }
+        );
+    if threads > 1 && ctx.graph.get().is_none() {
+        if let Some(graph) = try_graph(ctx, txn, plan, threads, stops_early)? {
+            return Ok(graph);
+        }
+    }
+    let lower = |plan: &LogicalPlan| lower_node(ctx, txn, plan, threads, stops_early);
+    // Inputs read in full whatever the consumer above does.
+    let drain = |plan: &LogicalPlan| lower_node(ctx, txn, plan, threads, false);
     Ok(match plan {
         LogicalPlan::TableScan { entry, column_ids, filters, emit_row_ids, .. } => {
             let opts = ScanOptions {
@@ -153,13 +228,13 @@ pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> R
             Box::new(SourceScanOp::new(Arc::clone(source), column_ids.clone(), filters.clone()))
         }
         LogicalPlan::Filter { input, predicate } => {
-            Box::new(FilterOp::new(lower(ctx, txn, input)?, predicate.clone()))
+            Box::new(FilterOp::new(lower(input)?, predicate.clone()))
         }
         LogicalPlan::Projection { input, exprs, .. } => {
-            Box::new(ProjectionOp::new(lower(ctx, txn, input)?, exprs.clone()))
+            Box::new(ProjectionOp::new(lower(input)?, exprs.clone()))
         }
         LogicalPlan::Aggregate { input, groups, aggs, .. } => {
-            let child = lower(ctx, txn, input)?;
+            let child = lower(input)?;
             if groups.is_empty() {
                 Box::new(SimpleAggregateOp::new(child, aggs.clone()))
             } else {
@@ -172,7 +247,7 @@ pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> R
             }
         }
         LogicalPlan::Sort { input, keys } => {
-            let child = lower(ctx, txn, input)?;
+            let child = lower(input)?;
             let budget = ctx.budget() / 4;
             Box::new(ExternalSortOp::new(child, keys.clone(), budget, Some(ctx.buffers()), false))
         }
@@ -190,9 +265,8 @@ pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> R
                         .saturating_mul(16);
                     let estimated = rows.saturating_mul(width) as usize;
                     if estimated <= ctx.budget() / 4 {
-                        let child = lower(ctx, txn, sort_input)?;
                         return Ok(Box::new(ExternalSortOp::top_n(
-                            child,
+                            drain(sort_input)?,
                             keys.clone(),
                             *limit,
                             *offset,
@@ -201,44 +275,26 @@ pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> R
                     }
                 }
             }
-            Box::new(LimitOp::new(lower(ctx, txn, input)?, *limit, *offset))
+            // A plain LIMIT stops pulling early; a morsel fan-out of the
+            // streaming chain below it would scan on regardless.
+            Box::new(LimitOp::new(lower_node(ctx, txn, input, threads, true)?, *limit, *offset))
         }
-        LogicalPlan::Distinct { input } => Box::new(DistinctOp::new(lower(ctx, txn, input)?)),
+        LogicalPlan::Distinct { input } => Box::new(DistinctOp::new(lower(input)?)),
         LogicalPlan::Join { left, right, join_type, left_keys, right_keys } => {
-            let lchild = lower(ctx, txn, left)?;
-            // §4: the build side's estimated footprint against currently
-            // available memory decides hash vs out-of-core merge join.
-            let strategy = if *join_type == JoinType::Inner {
-                choose_join_strategy(estimate_build_bytes(right), ctx.buffers.available_memory())
-            } else {
-                JoinStrategy::Hash // left/semi/anti are hash-only
-            };
-            match strategy {
-                // Even on the serial path, a chain-shaped build side over a
-                // large table builds morsel-parallel (the probe then
-                // streams with early-stop semantics intact — LIMIT over a
-                // join pulls only what it needs).
-                JoinStrategy::Hash => match parallel_build_side(ctx, txn, right, right_keys)? {
-                    Some(build) => Box::new(eider_exec::ops::JoinProbeOp::new(
-                        lchild,
-                        build,
-                        left_keys.clone(),
-                        *join_type,
-                        right.output_types(),
-                    )),
-                    None => Box::new(HashJoinOp::new(
-                        lchild,
-                        lower(ctx, txn, right)?,
-                        left_keys.clone(),
-                        right_keys.clone(),
-                        *join_type,
-                        ctx.db.policy().compression(),
-                        Some(ctx.buffers()),
-                    )?),
-                },
+            let (lchild, rchild) = (lower(left)?, drain(right)?);
+            match join_strategy(ctx, right, *join_type) {
+                JoinStrategy::Hash => Box::new(HashJoinOp::new(
+                    lchild,
+                    rchild,
+                    left_keys.clone(),
+                    right_keys.clone(),
+                    *join_type,
+                    ctx.db.policy().compression(),
+                    Some(ctx.buffers()),
+                )?),
                 JoinStrategy::OutOfCoreMerge => Box::new(MergeJoinOp::new(
                     lchild,
-                    lower(ctx, txn, right)?,
+                    rchild,
                     left_keys.clone(),
                     right_keys.clone(),
                     ctx.budget() / 8,
@@ -247,19 +303,17 @@ pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> R
             }
         }
         LogicalPlan::NestedLoopJoin { left, right, predicate } => Box::new(NestedLoopJoinOp::new(
-            lower(ctx, txn, left)?,
-            lower(ctx, txn, right)?,
+            lower(left)?,
+            drain(right)?,
             predicate.clone(),
             JoinType::Inner,
         )?),
         LogicalPlan::CrossJoin { left, right } => {
-            Box::new(CrossProductOp::new(lower(ctx, txn, left)?, lower(ctx, txn, right)?))
+            Box::new(CrossProductOp::new(lower(left)?, drain(right)?))
         }
-        LogicalPlan::Union { left, right } => Box::new(UnionAllOp {
-            left: lower(ctx, txn, left)?,
-            right: lower(ctx, txn, right)?,
-            on_right: false,
-        }),
+        LogicalPlan::Union { left, right } => {
+            Box::new(UnionAllOp { left: lower(left)?, right: lower(right)?, on_right: false })
+        }
         LogicalPlan::Values { rows, types, .. } => {
             let mut chunk = DataChunk::new(types);
             for row in rows {
@@ -274,16 +328,16 @@ pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> R
         }
         LogicalPlan::SingleRow => Box::new(ValuesOp::single_row()),
         LogicalPlan::Insert { entry, input } => {
-            Box::new(InsertOp::new(Arc::clone(entry), lower(ctx, txn, input)?, Arc::clone(txn)))
+            Box::new(InsertOp::new(Arc::clone(entry), lower(input)?, Arc::clone(txn)))
         }
         LogicalPlan::Update { entry, input, columns } => Box::new(UpdateOp::new(
             Arc::clone(entry),
-            lower(ctx, txn, input)?,
+            lower(input)?,
             Arc::clone(txn),
             columns.clone(),
         )),
         LogicalPlan::Delete { entry, input } => {
-            Box::new(DeleteOp::new(Arc::clone(entry), lower(ctx, txn, input)?, Arc::clone(txn)))
+            Box::new(DeleteOp::new(Arc::clone(entry), lower(input)?, Arc::clone(txn)))
         }
         other => {
             return Err(EiderError::Internal(format!(
@@ -323,9 +377,6 @@ fn plan_morsels(table: &DataTable, filters: &[eider_txn::TableFilter]) -> Option
     let morsel_rows = (total / 16).clamp(VECTOR_SIZE, MORSEL_ROWS);
     let mut morsels = slice_morsels(&sizes, morsel_rows);
     morsels.retain(|m| !prunable[m.group]);
-    if morsels.len() < 2 {
-        return None;
-    }
     Some(morsels)
 }
 
@@ -413,7 +464,7 @@ impl ChainSpec {
                 let parts = morsels
                     .into_iter()
                     .map(|m| SourcePartition {
-                        seq: m.seq,
+                        seq: m.group,
                         begin: m.row_begin as u64,
                         end: m.row_end as u64,
                     })
@@ -466,7 +517,7 @@ struct QueueSpec {
 
 /// Phase-1 planner state: recognizes parallel shapes and accumulates node
 /// specs without side effects, so any failure can simply discard it and
-/// fall back to the serial path.
+/// lower the node to its serial operator.
 struct SpecBuilder<'a, 'p> {
     ctx: &'a PlanCtx<'a>,
     nodes: Vec<NodeSpec<'p>>,
@@ -501,16 +552,6 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
     fn push(&mut self, node: NodeSpec<'p>) -> usize {
         self.nodes.push(node);
         self.nodes.len() - 1
-    }
-
-    /// Hash joins parallelize; a join the cooperation policy would demote
-    /// to an out-of-core merge join stays serial.
-    fn join_parallel_safe(&self, build_plan: &LogicalPlan, join_type: JoinType) -> bool {
-        join_type != JoinType::Inner
-            || choose_join_strategy(
-                estimate_build_bytes(build_plan),
-                self.ctx.buffers.available_memory(),
-            ) == JoinStrategy::Hash
     }
 
     /// Decompose `scan → (filter | project | hash-join probe)*` plans;
@@ -556,7 +597,9 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
                 Some(chain)
             }
             LogicalPlan::Join { left, right, join_type, left_keys, right_keys } => {
-                if !self.join_parallel_safe(right, *join_type) {
+                // A join the cooperation policy demotes to an out-of-core
+                // merge join stays serial.
+                if join_strategy(self.ctx, right, *join_type) != JoinStrategy::Hash {
                     return None;
                 }
                 let mut chain = self.chain_of(left)?;
@@ -754,7 +797,7 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
         let LogicalPlan::Join { left, right, join_type, left_keys, right_keys } = plan else {
             return None;
         };
-        if !self.join_parallel_safe(right, *join_type) {
+        if join_strategy(self.ctx, right, *join_type) != JoinStrategy::Hash {
             return None;
         }
         let (chain, morsels) = self.chain_with_morsels(right)?;
@@ -777,7 +820,8 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
 
 /// Materialize a validated spec into an executable graph operator. Only
 /// now are morsel sources constructed (recording scan read predicates on
-/// the transaction), chunk queues allocated, and serial inputs lowered.
+/// the transaction), chunk queues allocated, and serial inputs lowered —
+/// at one worker: the graph is the statement's one DAG.
 fn materialize(
     ctx: &PlanCtx<'_>,
     txn: &Arc<Transaction>,
@@ -856,10 +900,12 @@ fn materialize(
                 );
             }
             NodeSpec::SerialBuild { plan, keys } => {
-                graph.add(GraphNode::SerialBuild { input: Some(lower(ctx, txn, plan)?), keys });
+                let input = Some(lower_node(ctx, txn, plan, 1, false)?);
+                graph.add(GraphNode::SerialBuild { input, keys });
             }
             NodeSpec::SerialProbe { plan, links } => {
-                graph.add(GraphNode::SerialPipeline { input: Some(lower(ctx, txn, plan)?), links });
+                let input = Some(lower_node(ctx, txn, plan, 1, false)?);
+                graph.add(GraphNode::SerialPipeline { input, links });
             }
         }
     }
@@ -867,186 +913,33 @@ fn materialize(
     Ok(Box::new(PipelineGraphOp::new(graph)))
 }
 
-/// Morsel-parallel evaluation of a hash-join build side for the *serial*
-/// lowering path: when the build plan is a plain chain (no nested joins)
-/// over a splittable table and the policy grants workers, run one
-/// `JoinBuild` pipeline eagerly and hand the spliced [`BuildSide`] to a
-/// streaming probe. This keeps the expensive half of a join parallel even
-/// for plan shapes the DAG does not recognize (LIMIT without ORDER BY,
-/// CTAS sources, UPDATE/DELETE inputs, …).
-///
-/// [`BuildSide`]: eider_exec::ops::BuildSide
-fn parallel_build_side(
-    ctx: &PlanCtx<'_>,
-    txn: &Arc<Transaction>,
-    build_plan: &LogicalPlan,
-    keys: &[Expr],
-) -> Result<Option<Arc<eider_exec::ops::BuildSide>>> {
-    let threads = ctx.db.policy().worker_threads();
-    if threads <= 1 {
-        return Ok(None);
-    }
-    let mut spec = SpecBuilder::new(ctx);
-    let Some(chain) = spec.chain_of(build_plan) else { return Ok(None) };
-    if !spec.nodes.is_empty() {
-        return Ok(None); // nested build sides: keep the serial path simple
-    }
-    let Some(morsels) = chain.plan_chain_morsels() else { return Ok(None) };
-    let source = Arc::new(chain.morsel_source(txn, morsels));
-    let steps: Vec<PipelineStep> = chain
-        .links
-        .into_iter()
-        .map(|link| match link {
-            GraphLink::Step(step) => step,
-            GraphLink::Probe { .. } => unreachable!("probe links imply planned nodes"),
-        })
-        .collect();
-    let pipeline = eider_exec::parallel::ParallelPipeline::new(
-        source,
-        Arc::clone(txn),
-        steps,
-        PipelineSink::JoinBuild { keys: keys.to_vec() },
-    )
-    .with_buffers(Some(ctx.buffers()));
-    let eider_exec::parallel::PipelineOutput::JoinBuild { partials, reservations } =
-        pipeline.execute(threads)?
-    else {
-        unreachable!("join-build sink produces partials")
-    };
-    let build = eider_exec::ops::BuildSide::from_partials(
-        partials,
-        ctx.db.policy().compression(),
-        Some(ctx.buffers()),
-    )?;
-    drop(reservations);
-    Ok(Some(Arc::new(build)))
-}
-
-/// Try to lower `plan` onto the pipeline-DAG executor. Returns `Ok(None)`
-/// when the plan is not parallel-shaped, the policy grants only one
-/// worker, or the tables are too small to split — callers then use the
-/// serial [`lower`].
-pub fn lower_parallel(
-    ctx: &PlanCtx<'_>,
-    txn: &Arc<Transaction>,
-    plan: &LogicalPlan,
-) -> Result<Option<OperatorBox>> {
-    // §4's loop: sample the real host before deciding the fan-out (no-op
-    // unless `PRAGMA host_probe` enabled the /proc sampler).
-    ctx.db.refresh_host_load();
-    let threads = ctx.db.policy().worker_threads();
-    if threads <= 1 {
-        return Ok(None);
-    }
-    // Publish the policy's worker total to the shared fleet: concurrently
-    // admitted graphs divide *this* number between them each launch round.
-    ctx.db.fleet().set_threads(threads);
-    parallel_plan(ctx, txn, plan, threads)
-}
-
-fn parallel_plan(
-    ctx: &PlanCtx<'_>,
-    txn: &Arc<Transaction>,
-    plan: &LogicalPlan,
-    threads: usize,
-) -> Result<Option<OperatorBox>> {
-    if let Some(op) = try_graph(ctx, txn, plan, threads)? {
-        return Ok(Some(op));
-    }
-    // Serial wrappers over a parallel child: the few result rows of an
-    // aggregate (SELECT list, HAVING) or the concatenated chunks of a
-    // UNION ALL flow through ordinary serial operators while the heavy
-    // scan work underneath stays morsel-parallel.
-    Ok(match plan {
-        LogicalPlan::Projection { input, exprs, .. } => parallel_plan(ctx, txn, input, threads)?
-            .map(|child| -> OperatorBox { Box::new(ProjectionOp::new(child, exprs.clone())) }),
-        LogicalPlan::Filter { input, predicate } => parallel_plan(ctx, txn, input, threads)?
-            .map(|child| -> OperatorBox { Box::new(FilterOp::new(child, predicate.clone())) }),
-        LogicalPlan::Aggregate { input, groups, aggs, .. } => {
-            parallel_plan(ctx, txn, input, threads)?.map(|child| -> OperatorBox {
-                if groups.is_empty() {
-                    Box::new(SimpleAggregateOp::new(child, aggs.clone()))
-                } else {
-                    Box::new(HashAggregateOp::new(
-                        child,
-                        groups.clone(),
-                        aggs.clone(),
-                        Some(ctx.buffers()),
-                    ))
-                }
-            })
-        }
-        LogicalPlan::Sort { input, keys } => {
-            parallel_plan(ctx, txn, input, threads)?.map(|child| -> OperatorBox {
-                Box::new(ExternalSortOp::new(
-                    child,
-                    keys.clone(),
-                    ctx.budget() / 4,
-                    Some(ctx.buffers()),
-                    false,
-                ))
-            })
-        }
-        LogicalPlan::Distinct { input } => parallel_plan(ctx, txn, input, threads)?
-            .map(|child| -> OperatorBox { Box::new(DistinctOp::new(child)) }),
-        _ => None,
-    })
-}
-
-/// Recognize and materialize a whole-plan pipeline DAG: sink pipelines and
-/// UNION ALL trees first, then the serial-probe fallback for joins with a
-/// small probe side.
+/// Recognize and materialize a pipeline DAG covering `plan`'s whole
+/// subtree — sink pipelines and UNION ALL trees first, then the
+/// serial-probe fallback for joins with a small probe side — and record it
+/// as the statement's DAG. `None` when no DAG shape matches. Under a plain
+/// LIMIT (`stops_early`) only the serial-probe shape qualifies: its build
+/// is read in full, its probe streams serially.
 fn try_graph(
     ctx: &PlanCtx<'_>,
     txn: &Arc<Transaction>,
     plan: &LogicalPlan,
     threads: usize,
+    stops_early: bool,
 ) -> Result<Option<OperatorBox>> {
     let mut spec = SpecBuilder::new(ctx);
-    if let Some(outputs) = spec.output_nodes(plan) {
-        return materialize(ctx, txn, threads, spec, outputs).map(Some);
-    }
-    let mut spec = SpecBuilder::new(ctx);
-    if let Some(output) = spec.serial_probe(plan) {
-        return materialize(ctx, txn, threads, spec, vec![output]).map(Some);
-    }
-    Ok(None)
-}
-
-/// One-line routing summary for `EXPLAIN`: replays the phase-1 shape
-/// recognition (pure — no morsel sources constructed, nothing recorded on
-/// any transaction) and reports whether the plan would execute on the
-/// parallel pipeline DAG, and with how many workers and DAG nodes.
-pub fn routing_hint(ctx: &PlanCtx<'_>, plan: &LogicalPlan) -> String {
-    let threads = ctx.db.policy().worker_threads();
-    if threads > 1 {
-        if let Some(nodes) = routed_nodes(ctx, plan) {
-            return format!("ROUTING parallel threads={threads} nodes={nodes}");
+    let whole = if stops_early { None } else { spec.output_nodes(plan) };
+    let outputs = match whole {
+        Some(outputs) => outputs,
+        None => {
+            spec = SpecBuilder::new(ctx);
+            match spec.serial_probe(plan) {
+                Some(output) => vec![output],
+                None => return Ok(None),
+            }
         }
-    }
-    "ROUTING serial".to_string()
-}
-
-/// DAG node count if the plan routes parallel, mirroring [`parallel_plan`]:
-/// whole-plan shapes first, then the serial-probe fallback, then serial
-/// wrappers over a parallel child.
-fn routed_nodes(ctx: &PlanCtx<'_>, plan: &LogicalPlan) -> Option<usize> {
-    let mut spec = SpecBuilder::new(ctx);
-    if spec.output_nodes(plan).is_some() {
-        return Some(spec.nodes.len());
-    }
-    let mut spec = SpecBuilder::new(ctx);
-    if spec.serial_probe(plan).is_some() {
-        return Some(spec.nodes.len());
-    }
-    match plan {
-        LogicalPlan::Projection { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Distinct { input } => routed_nodes(ctx, input),
-        _ => None,
-    }
+    };
+    ctx.graph.set(Some((threads, spec.nodes.len())));
+    materialize(ctx, txn, threads, spec, outputs).map(Some)
 }
 
 #[cfg(test)]
@@ -1078,10 +971,17 @@ mod tests {
         optimizer::optimize(plan).unwrap()
     }
 
+    /// Whether the statement's DAG covers the plan's root below the
+    /// binder's SELECT-list projection — not merely some subtree.
     fn routes_parallel(db: &Arc<Database>, sql: &str) -> bool {
         let txn = Arc::new(db.txn_manager().begin());
         let plan = plan_of(db, sql);
-        lower_parallel(&PlanCtx::root(db), &txn, &plan).unwrap().is_some()
+        let ctx = PlanCtx::root(db);
+        let threads = db.policy().worker_threads();
+        if threads > 1 {
+            try_graph(&ctx, &txn, strip_projection(&plan), threads, false).unwrap();
+        }
+        ctx.graph.get().is_some()
     }
 
     /// Un-nest the projection the binder puts above SELECT lists so the
@@ -1127,7 +1027,7 @@ mod tests {
                 "{sql}: the graph output must be the queue consumer"
             );
         }
-        // End to end: the same shapes still route through lower_parallel.
+        // End to end: the same shapes still lower onto the DAG.
         for sql in [
             format!("SELECT count(*) FROM ({union_sql}) u"),
             format!("SELECT DISTINCT k FROM ({union_sql}) u"),
@@ -1203,6 +1103,24 @@ mod tests {
             &db,
             "SELECT count(*) FROM small JOIN big ON small.k = big.k WHERE big.id < 1000",
         ));
+    }
+
+    /// Under a plain LIMIT the streaming chain stays at one worker, but
+    /// what the statement reads in full still fans out.
+    #[test]
+    fn plain_limit_fans_out_only_what_it_reads_in_full() {
+        let db = fixture();
+        let graph_of = |sql: &str| {
+            let txn = Arc::new(db.txn_manager().begin());
+            let ctx = PlanCtx::root(&db);
+            lower(&ctx, &txn, &plan_of(&db, sql)).unwrap();
+            ctx.graph.get()
+        };
+        assert_eq!(graph_of("SELECT id FROM big WHERE k = 3 LIMIT 5"), None);
+        assert!(graph_of("SELECT k, count(*) FROM big GROUP BY k LIMIT 5").is_some());
+        // A parallel build under a serially pulled probe: two nodes.
+        let join = "SELECT a.id, b.v FROM big a JOIN big b ON a.id = b.id LIMIT 5";
+        assert!(matches!(graph_of(join), Some((_, 2))), "{join}");
     }
 
     #[test]

@@ -329,10 +329,7 @@ mod tests {
 
     #[test]
     fn accounting_enforces_budget() {
-        let buffers = BufferManager::new(BufferManagerConfig {
-            memory_limit: 64 * 1024,
-            memtest_allocations: false,
-        });
+        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 64 * 1024 });
         let mut col =
             ChunkCollection::with_accounting(CompressionLevel::None, buffers.clone()).unwrap();
         let mut failed = false;

@@ -7,9 +7,10 @@
 //! until the chunk arriving at the root is empty, at which point the query
 //! is completed."
 //!
-//! Every operator implements [`PhysicalOperator::next_chunk`]; the client
-//! API (eider-client) literally hands the root operator's pull handle to
-//! the application (§5's zero-copy transfer).
+//! Every operator implements
+//! [`PhysicalOperator::next_chunk`](ops::PhysicalOperator::next_chunk);
+//! the client API (eider-client) literally hands the root operator's pull
+//! handle to the application (§5's zero-copy transfer).
 //!
 //! Modules:
 //! * [`expression`] — vectorized expression kernels (with typed fast paths,
@@ -43,7 +44,4 @@ pub mod parallel;
 pub mod row_engine;
 pub mod rowkey;
 
-pub use collection::ChunkCollection;
-pub use expression::{ArithOp, Expr, ScalarFunc};
-pub use ops::{OperatorBox, PhysicalOperator};
-pub use parallel::{ParallelPipeline, PipelineSink, PipelineStep, TaskScheduler};
+pub use expression::Expr;

@@ -27,7 +27,9 @@ use crate::ops::{OperatorBox, PhysicalOperator};
 use crate::rowkey::{encode_keys, KeyLayout, KeyScratch};
 use eider_coop::compression::CompressionLevel;
 use eider_storage::buffer::{BufferManager, MemoryReservation};
-use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value, Vector, VECTOR_SIZE};
+use eider_vector::{
+    DataChunk, EiderError, LogicalType, Result, SelectionVector, Vector, VECTOR_SIZE,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -580,30 +582,32 @@ impl PhysicalOperator for HashJoinOp {
     }
 }
 
-/// Cross product (no predicate): every left row with every right row.
-/// The right side materializes in memory.
+/// Cross product (no predicate): every left row with every right row, in
+/// left-major order. The right side materializes in memory as one chunk;
+/// each output chunk is two gathers over the current left chunk × right
+/// grid — left rows repeated, right rows cycled.
 pub struct CrossProductOp {
     left: OperatorBox,
     right: Option<OperatorBox>,
-    right_rows: Vec<Vec<Value>>,
+    right_rows: DataChunk,
     out_types: Vec<LogicalType>,
     current_left: Option<DataChunk>,
-    left_row: usize,
-    right_row: usize,
+    /// Next position in the current left chunk's `left × right` grid.
+    pos: usize,
 }
 
 impl CrossProductOp {
     pub fn new(left: OperatorBox, right: OperatorBox) -> Self {
         let mut out_types = left.output_types();
-        out_types.extend(right.output_types());
+        let right_types = right.output_types();
+        out_types.extend(&right_types);
         CrossProductOp {
             left,
             right: Some(right),
-            right_rows: Vec::new(),
+            right_rows: DataChunk::new(&right_types),
             out_types,
             current_left: None,
-            left_row: 0,
-            right_row: 0,
+            pos: 0,
         }
     }
 }
@@ -616,40 +620,33 @@ impl PhysicalOperator for CrossProductOp {
     fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
         if let Some(mut right) = self.right.take() {
             while let Some(chunk) = right.next_chunk()? {
-                self.right_rows.extend(chunk.to_rows());
+                self.right_rows.append_from(&chunk, 0, chunk.len())?;
             }
         }
-        if self.right_rows.is_empty() {
+        let width = self.right_rows.len();
+        if width == 0 {
             return Ok(None);
         }
-        let mut out = DataChunk::new(&self.out_types);
-        while out.len() < VECTOR_SIZE {
-            if self.current_left.is_none() {
-                self.current_left = self.left.next_chunk()?;
-                self.left_row = 0;
-                self.right_row = 0;
-                if self.current_left.is_none() {
-                    break;
-                }
-            }
-            let left_chunk = self.current_left.as_ref().expect("present");
-            if self.left_row >= left_chunk.len() {
-                self.current_left = None;
+        loop {
+            let grid = self.current_left.as_ref().map_or(0, |c| c.len() * width);
+            if self.pos >= grid {
+                let Some(left) = self.left.next_chunk()? else { return Ok(None) };
+                self.current_left = Some(left);
+                self.pos = 0;
                 continue;
             }
-            let mut vals = left_chunk.row_values(self.left_row);
-            vals.extend(self.right_rows[self.right_row].iter().cloned());
-            out.append_row(&vals)?;
-            self.right_row += 1;
-            if self.right_row >= self.right_rows.len() {
-                self.right_row = 0;
-                self.left_row += 1;
-            }
-        }
-        if out.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(out))
+            let end = (self.pos + VECTOR_SIZE).min(grid);
+            let positions = self.pos..end;
+            let left_sel = SelectionVector::from_indexes(
+                positions.clone().map(|p| (p / width) as u32).collect(),
+            );
+            let right_sel =
+                SelectionVector::from_indexes(positions.map(|p| (p % width) as u32).collect());
+            self.pos = end;
+            let left = self.current_left.as_ref().expect("grid is non-empty");
+            let mut columns = left.select(&left_sel).into_columns();
+            columns.extend(self.right_rows.select(&right_sel).into_columns());
+            return DataChunk::from_vectors(columns).map(Some);
         }
     }
 }
@@ -708,6 +705,7 @@ mod tests {
     use crate::ops::basic::ValuesOp;
     use crate::ops::drain_rows;
     use eider_txn::CmpOp;
+    use eider_vector::Value;
 
     fn table(rows: Vec<Vec<Value>>, types: Vec<LogicalType>) -> OperatorBox {
         let chunk = DataChunk::from_rows(&types, &rows).unwrap();
@@ -817,10 +815,7 @@ mod tests {
     #[test]
     fn build_side_charges_key_table_to_buffer_manager() {
         use eider_storage::buffer::{BufferManager, BufferManagerConfig};
-        let buffers = BufferManager::new(BufferManagerConfig {
-            memory_limit: 64 << 20,
-            memtest_allocations: false,
-        });
+        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 64 << 20 });
         let rows: Vec<Vec<Value>> =
             (0..5000).map(|i| vec![Value::Integer(i), Value::Varchar(format!("row{i}"))]).collect();
         let chunk =
@@ -870,7 +865,40 @@ mod tests {
             ),
         );
         let rows = drain_rows(&mut op).unwrap();
-        assert_eq!(rows.len(), 6);
+        let pairs: Vec<(i64, i64)> =
+            rows.iter().map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap())).collect();
+        assert_eq!(pairs, [(1, 10), (1, 20), (1, 30), (2, 10), (2, 20), (2, 30)]);
+    }
+
+    /// Output chunks cut across left rows and right rows alike, and the
+    /// pairs still come out left-major — strings and NULLs included.
+    #[test]
+    fn cross_product_is_left_major_across_chunk_boundaries() {
+        let left_types = [LogicalType::Integer, LogicalType::Varchar];
+        let name = |i: usize| match i % 3 {
+            0 => Value::Null,
+            _ => Value::Varchar(format!("l{i}")),
+        };
+        let left: Vec<Vec<Value>> =
+            (0..7).map(|i| vec![Value::Integer(i as i32), name(i)]).collect();
+        let right: Vec<Vec<Value>> = (0..1500).map(|i| vec![Value::Integer(i)]).collect();
+        let chunk = |types: &[LogicalType], rows: &[Vec<Value>]| DataChunk::from_rows(types, rows);
+        let left_op = ValuesOp::new(
+            left_types.to_vec(),
+            vec![chunk(&left_types, &left[..3]).unwrap(), chunk(&left_types, &left[3..]).unwrap()],
+        );
+        let int = [LogicalType::Integer];
+        let right_op = ValuesOp::new(
+            int.to_vec(),
+            vec![chunk(&int, &right[..1000]).unwrap(), chunk(&int, &right[1000..]).unwrap()],
+        );
+        let mut op = CrossProductOp::new(Box::new(left_op), Box::new(right_op));
+        let rows = drain_rows(&mut op).unwrap();
+        assert_eq!(rows.len(), 7 * 1500);
+        for (i, row) in rows.iter().enumerate() {
+            let (l, r) = (i / 1500, i % 1500);
+            assert_eq!(row, &[Value::Integer(l as i32), name(l), Value::Integer(r as i32)]);
+        }
     }
 
     #[test]

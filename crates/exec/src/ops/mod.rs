@@ -12,9 +12,7 @@ pub mod sort;
 
 pub use agg::{AggExpr, HashAggregateOp, SimpleAggregateOp};
 pub use basic::{DistinctOp, FilterOp, LimitOp, ProjectionOp, ValuesOp};
-pub use join::{
-    BuildPartial, BuildSide, CrossProductOp, HashJoinOp, JoinProbeOp, JoinType, NestedLoopJoinOp,
-};
+pub use join::{BuildSide, CrossProductOp, HashJoinOp, JoinType, NestedLoopJoinOp};
 pub use merge_join::MergeJoinOp;
 pub use modify::{DeleteOp, InsertOp, UpdateOp};
 pub use scan::{SourceScanOp, TableScanOp};

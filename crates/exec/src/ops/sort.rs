@@ -840,10 +840,7 @@ mod tests {
     }
 
     fn test_buffers(limit: usize) -> Arc<BufferManager> {
-        BufferManager::new(eider_storage::buffer::BufferManagerConfig {
-            memory_limit: limit,
-            memtest_allocations: false,
-        })
+        BufferManager::new(eider_storage::buffer::BufferManagerConfig { memory_limit: limit })
     }
 
     #[test]

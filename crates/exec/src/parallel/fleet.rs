@@ -26,7 +26,7 @@
 //!   scheduler already uses.)
 //!
 //! The fleet itself owns no threads: pipelines keep their scoped
-//! fork-join workers ([`TaskScheduler`](crate::parallel::TaskScheduler)),
+//! fork-join workers ([`TaskScheduler`](crate::parallel::scheduler::TaskScheduler)),
 //! so worker lifetime stays bounded by query lifetime. What the fleet
 //! owns is the *arithmetic* — how many workers each graph may spawn — and
 //! the admission gate. The total is refreshed by the engine from the

@@ -1,6 +1,6 @@
 //! The pipeline DAG: multi-pipeline scheduling with breaker-state handoff.
 //!
-//! A single [`ParallelPipeline`] can only express `scan → step* → sink`.
+//! A single `ParallelPipeline` can only express `scan → step* → sink`.
 //! Real query shapes are *graphs* of such pipelines connected by pipeline
 //! breakers: a hash join's build pipeline must finish before its probe
 //! pipeline starts, a sort's runs must all exist before the merge, and a
@@ -46,7 +46,8 @@
 //! that can join a running pipeline — see ROADMAP). Bounded queue
 //! backpressure keeps the *runnable* thread count near the consumer's
 //! share, and a policy of one worker total never reaches this scheduler
-//! at all (the planner lowers serially below two workers).
+//! at all (the planner builds no graph below two workers, and at most one
+//! graph per statement, so a statement holds at most one fleet lease).
 //!
 //! The [`PipelineGraphOp`] facade lets the physical planner splice a DAG
 //! into an otherwise serial plan — and is where results *leave* the
@@ -367,8 +368,8 @@ impl PipelineGraph {
 
     /// Partition workers through a shared [`WorkerFleet`] instead of this
     /// graph's private thread budget. [`PipelineGraphOp`] acquires the
-    /// admission lease; a graph executed directly (tests, the serial
-    /// build-side path) reserves its own slot during [`execute`].
+    /// admission lease; a graph executed directly (tests) reserves its
+    /// own slot during [`execute`].
     ///
     /// [`execute`]: PipelineGraph::execute
     pub fn with_fleet(mut self, fleet: Option<Arc<WorkerFleet>>) -> Self {
@@ -1682,10 +1683,7 @@ mod tests {
         let txn = Arc::new(mgr.begin());
         let expected = union_agg_reference(&table, &txn);
         for threads in [1, 2, 4, 8] {
-            let buffers = BufferManager::new(BufferManagerConfig {
-                memory_limit: 1 << 20,
-                memtest_allocations: false,
-            });
+            let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 1 << 20 });
             let (graph, queue, _stats) =
                 union_agg_graph(&table, &txn, threads, Some(Arc::clone(&buffers)));
             let (chunks, res) = graph.execute().unwrap();

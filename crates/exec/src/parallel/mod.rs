@@ -9,14 +9,15 @@
 //!   row ranges of one row group, vector-aligned — and hands them to
 //!   whichever worker asks next (atomic work stealing, no
 //!   pre-partitioning, so skew self-balances);
-//! * a [`TaskScheduler`] fans a closure out over N scoped worker threads
-//!   sharing the query's snapshot transaction;
-//! * a [`ParallelPipeline`] describes one pipeline's per-morsel operator
+//! * a [`TaskScheduler`](scheduler::TaskScheduler) fans a closure out
+//!   over N scoped worker threads sharing the query's snapshot
+//!   transaction;
+//! * a `ParallelPipeline` describes one pipeline's per-morsel operator
 //!   chain — filter, projection, and hash-join *probe* against a shared
 //!   immutable build side, built from the same serial operators
 //!   ([`FilterOp`](crate::ops::FilterOp),
 //!   [`ProjectionOp`](crate::ops::ProjectionOp),
-//!   [`JoinProbeOp`](crate::ops::JoinProbeOp)) — plus the
+//!   [`JoinProbeOp`](crate::ops::join::JoinProbeOp)) — plus the
 //!   pipeline-breaking sink at the top: collect, simple aggregate, hash
 //!   aggregate (which with no aggregate functions is DISTINCT), sort
 //!   (disk-spilling, optionally Top-N-bounded), or hash-join build — each
@@ -65,9 +66,8 @@ pub mod pipeline;
 pub mod queue;
 pub mod scheduler;
 
-pub use fleet::{FleetLease, WorkerFleet};
-pub use graph::{GraphLink, GraphNode, GraphStats, NodeId, PipelineGraph, PipelineGraphOp};
-pub use morsel::{Morsel, MorselScanOp, MorselSource};
-pub use pipeline::{ParallelPipeline, PipelineOutput, PipelineSink, PipelineSource, PipelineStep};
-pub use queue::{compose_seq, decompose_seq, ChunkQueue, QueueBatch};
-pub use scheduler::TaskScheduler;
+pub use fleet::WorkerFleet;
+pub use graph::{GraphLink, GraphNode, PipelineGraph, PipelineGraphOp};
+pub use morsel::{Morsel, MorselSource};
+pub use pipeline::{PipelineSink, PipelineSource, PipelineStep};
+pub use queue::ChunkQueue;

@@ -30,7 +30,8 @@ pub const MORSEL_ROWS: usize = 8 * VECTOR_SIZE;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Morsel {
     /// Position in the serial scan order; merges sort by this to make
-    /// parallel output deterministic.
+    /// parallel output deterministic. A [`MorselSource`] renumbers its
+    /// morsels gap-free from 0.
     pub seq: usize,
     pub group: usize,
     pub row_begin: usize,
@@ -97,8 +98,7 @@ impl MorselSource {
     ///
     /// Row groups whose zone maps exclude the pushed-down filters are
     /// dropped from the work list up front: on a selective scan workers
-    /// never even claim morsels in pruned groups. (Sequence numbers keep
-    /// their serial-scan positions, so merges stay deterministic.)
+    /// never even claim morsels in pruned groups.
     pub fn new(
         table: Arc<DataTable>,
         txn: &Transaction,
@@ -116,8 +116,8 @@ impl MorselSource {
     }
 
     /// Build a table-backed source over pre-sliced morsels (see
-    /// [`slice_morsels`]). Records the scan's read predicates on `txn`
-    /// once.
+    /// [`slice_morsels`]), which may skip pruned ones. Records the scan's
+    /// read predicates on `txn` once.
     pub fn from_morsels(
         table: Arc<DataTable>,
         txn: &Transaction,
@@ -125,12 +125,7 @@ impl MorselSource {
         morsels: Vec<Morsel>,
     ) -> Self {
         table.record_scan_read(txn, &opts);
-        MorselSource {
-            backend: ScanBackend::Table { table, opts },
-            morsels,
-            cursor: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-        }
+        Self::dispense(ScanBackend::Table { table, opts }, morsels)
     }
 
     /// Default-sized morsels ([`MORSEL_ROWS`]).
@@ -160,8 +155,18 @@ impl MorselSource {
                 row_end: p.end as usize,
             })
             .collect();
+        Self::dispense(ScanBackend::External { source, projection }, morsels)
+    }
+
+    /// Number the morsels that survived pruning 0, 1, 2, … in scan order:
+    /// ordered result edges replay each arm's batches as that gap-free
+    /// run. `group` keeps the row group (or partition) identity.
+    fn dispense(backend: ScanBackend, mut morsels: Vec<Morsel>) -> Self {
+        for (seq, morsel) in morsels.iter_mut().enumerate() {
+            morsel.seq = seq;
+        }
         MorselSource {
-            backend: ScanBackend::External { source, projection },
+            backend,
             morsels,
             cursor: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
@@ -270,7 +275,7 @@ impl PhysicalOperator for MorselScanOp {
             ) => {
                 if reader.is_none() {
                     let part = SourcePartition {
-                        seq: morsel.seq,
+                        seq: morsel.group,
                         begin: morsel.row_begin as u64,
                         end: morsel.row_end as u64,
                     };
@@ -374,10 +379,16 @@ mod tests {
         // The pruned scan still returns exactly the qualifying rows.
         let txn = Arc::new(mgr.begin());
         let mut rows = Vec::new();
+        let mut seqs = Vec::new();
         while let Some(m) = src.next_morsel() {
+            // The surviving morsels are numbered gap-free; `group` still
+            // names the row group they scan.
+            assert_eq!(m.group, 1);
+            seqs.push(m.seq);
             let mut op = MorselScanOp::new(Arc::clone(&src), Arc::clone(&txn), m);
             rows.extend(drain_rows(&mut op).unwrap());
         }
+        assert_eq!(seqs, (0..group1_morsels).collect::<Vec<_>>());
         assert_eq!(rows.len(), 1000);
     }
 

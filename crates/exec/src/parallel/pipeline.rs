@@ -34,11 +34,10 @@
 //! sort rows (released again when a run spills to disk), Top-N candidate
 //! buffers (spilled when the ledger refuses a grow), collected result
 //! chunks, and join-build partials. Reservations for materialized output
-//! travel inside [`PipelineOutput`] and release on pipeline teardown —
-//! unless the pipeline is a streamed graph output
-//! ([`ParallelPipeline::with_output_queue`]), in which case the
-//! merge/finalize step pushes chunks into a bounded result queue as
-//! charged batches and materializes nothing.
+//! travel inside the pipeline's output and release on pipeline teardown —
+//! unless the pipeline is a streamed graph output (it has an output
+//! queue), in which case the merge/finalize step pushes chunks into a
+//! bounded result queue as charged batches and materializes nothing.
 
 use crate::aggregate::AggState;
 use crate::ops::agg::{update_group_table, update_simple_states, AggExpr, GroupTable};
@@ -213,7 +212,7 @@ pub enum PipelineSink {
 /// What a pipeline produces. Reservations keep materialized state charged
 /// to the buffer manager until the output's consumer drops it (pipeline
 /// teardown).
-pub enum PipelineOutput {
+pub(crate) enum PipelineOutput {
     Chunks {
         chunks: Vec<DataChunk>,
         reservations: Vec<MemoryReservation>,
@@ -225,6 +224,7 @@ pub enum PipelineOutput {
     },
 }
 
+#[cfg(test)]
 impl PipelineOutput {
     /// Unwrap the chunk form (every sink but `JoinBuild`), dropping the
     /// accounting (tests and callers that re-account themselves).
@@ -281,7 +281,7 @@ struct WorkerCtx {
 }
 
 /// A parallel pipeline instance, bound to one query's transaction.
-pub struct ParallelPipeline {
+pub(crate) struct ParallelPipeline {
     source: PipelineSource,
     txn: Arc<Transaction>,
     steps: Vec<PipelineStep>,
@@ -809,7 +809,7 @@ impl ParallelPipeline {
 
 /// Output column types a sink produces over a chain with the given types
 /// (lazily computed — aggregate sinks do not need them). Shared by
-/// [`ParallelPipeline::output_types`] and the pipeline DAG's node typing.
+/// `ParallelPipeline::output_types` and the pipeline DAG's node typing.
 pub fn sink_output_types(
     sink: &PipelineSink,
     chain_types: impl FnOnce() -> Vec<LogicalType>,
@@ -970,10 +970,7 @@ mod tests {
     fn collect_charges_materialized_chunks_and_releases_on_drop() {
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
-        let buffers = BufferManager::new(BufferManagerConfig {
-            memory_limit: 64 << 20,
-            memtest_allocations: false,
-        });
+        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 64 << 20 });
         let p =
             pipeline(&table, &txn, PipelineSink::Collect).with_buffers(Some(Arc::clone(&buffers)));
         let output = p.execute(4).unwrap();
@@ -1118,10 +1115,7 @@ mod tests {
         // ~15k rows at ~100 B/row of Value representation far exceed a
         // 512 KiB budget: reservations fail mid-scan and workers must react
         // by spilling rather than erroring.
-        let buffers = BufferManager::new(BufferManagerConfig {
-            memory_limit: 512 << 10,
-            memtest_allocations: false,
-        });
+        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 512 << 10 });
         let p = pipeline(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None })
             .with_buffers(Some(Arc::clone(&buffers)));
         let rows = p.execute(4).unwrap().into_chunks();

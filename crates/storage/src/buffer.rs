@@ -1,20 +1,16 @@
-//! The buffer manager: memory accounting and tested allocations.
+//! The buffer manager: memory accounting.
 //!
-//! Two of the paper's requirements meet here:
+//! **Cooperation (§4)** — "DuckDB for now allows the user to manually set
+//! hard limits on memory": every memory-hungry operator (hash join build
+//! sides, sort runs, aggregation tables) reserves its footprint through
+//! the buffer manager, which enforces the configured limit and thereby
+//! drives operators to spill or switch strategies.
 //!
-//! * **Cooperation (§4)** — "DuckDB for now allows the user to manually set
-//!   hard limits on memory": every memory-hungry operator (hash join build
-//!   sides, sort runs, aggregation tables) reserves its footprint through
-//!   the buffer manager, which enforces the configured limit and thereby
-//!   drives operators to spill or switch strategies.
-//! * **Resilience (§3)** — "we plan to integrate memory tests into the
-//!   buffer manager, which will test all buffers on allocation to detect
-//!   existing errors": [`BufferManager::allocate_tested`] runs a moving-
-//!   inversions pass over each fresh buffer, escalating from quick to full
-//!   tests once the [`HealthMonitor`] has seen a fault.
+//! §3's allocation-time memory test is not wired in: no operator takes
+//! its memory from here, so there is no allocation to test yet. The
+//! moving-inversions tester lives in [`eider_resilience::memtest`].
 
-use eider_resilience::health::{CheckingMode, FaultCategory, HealthMonitor};
-use eider_resilience::memtest::{MemRegion, MemTestKind, MemoryTester};
+use eider_resilience::memtest::MemRegion;
 use eider_vector::{EiderError, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,8 +20,6 @@ use std::sync::Arc;
 pub struct BufferManagerConfig {
     /// Hard memory limit in bytes for tracked allocations (§4).
     pub memory_limit: usize,
-    /// Whether to memory-test buffers on allocation (§3).
-    pub memtest_allocations: bool,
 }
 
 impl Default for BufferManagerConfig {
@@ -33,7 +27,7 @@ impl Default for BufferManagerConfig {
         // The paper's cooperation argument: never assume the whole machine.
         // Default to a deliberately modest 1 GiB rather than probing for
         // all available RAM the way server DBMSs do.
-        BufferManagerConfig { memory_limit: 1 << 30, memtest_allocations: true }
+        BufferManagerConfig { memory_limit: 1 << 30 }
     }
 }
 
@@ -52,8 +46,6 @@ pub struct BufferManager {
     /// [`BufferManager::reset_peak`]); benchmarks report it as the peak
     /// accounted footprint of a workload.
     peak: AtomicUsize,
-    memtest_allocations: bool,
-    health: Arc<HealthMonitor>,
     /// Parent account when this is a session sub-account; charges and
     /// releases propagate up the chain.
     parent: Option<Arc<BufferManager>>,
@@ -61,22 +53,15 @@ pub struct BufferManager {
 
 impl BufferManager {
     pub fn new(config: BufferManagerConfig) -> Arc<Self> {
-        Self::with_health(config, Arc::new(HealthMonitor::new()))
-    }
-
-    pub fn with_health(config: BufferManagerConfig, health: Arc<HealthMonitor>) -> Arc<Self> {
         Arc::new(BufferManager {
             limit: AtomicUsize::new(config.memory_limit),
             used: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
-            memtest_allocations: config.memtest_allocations,
-            health,
             parent: None,
         })
     }
 
-    /// A session quota carved out of this account. The sub-account shares
-    /// the parent's health monitor and memtest policy; its reservations
+    /// A session quota carved out of this account. Its reservations
     /// are charged against *both* its own quota and every ancestor, so
     /// the global limit still holds across all sessions combined.
     pub fn sub_account(self: &Arc<Self>, quota: usize) -> Arc<BufferManager> {
@@ -84,8 +69,6 @@ impl BufferManager {
             limit: AtomicUsize::new(quota),
             used: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
-            memtest_allocations: self.memtest_allocations,
-            health: Arc::clone(&self.health),
             parent: Some(Arc::clone(self)),
         })
     }
@@ -136,10 +119,6 @@ impl BufferManager {
     /// Restart peak tracking (benchmarks call this between phases).
     pub fn reset_peak(&self) {
         self.peak.store(self.used_memory(), Ordering::Relaxed);
-    }
-
-    pub fn health(&self) -> &Arc<HealthMonitor> {
-        &self.health
     }
 
     /// Reserve `bytes` against the limit; fails with `OutOfMemory` when the
@@ -193,40 +172,6 @@ impl BufferManager {
             parent.release(bytes);
         }
     }
-
-    /// Allocate a zeroed, memory-tested buffer of `bytes` (rounded up to
-    /// whole 8-byte words). In `Relaxed` health mode a quick test runs; in
-    /// `Paranoid` mode (a fault has been seen) the full moving-inversions
-    /// battery runs. A failing buffer is reported and the allocation
-    /// refused — the quarantine policy §3 sketches.
-    pub fn allocate_tested(self: &Arc<Self>, bytes: usize) -> Result<TestedBuffer> {
-        let reservation = self.reserve(bytes)?;
-        let words = bytes.div_ceil(8);
-        let mut data = vec![0u64; words];
-        if self.memtest_allocations {
-            let kind = match self.health.mode() {
-                CheckingMode::Relaxed => MemTestKind::Quick,
-                CheckingMode::Paranoid => MemTestKind::Full,
-                CheckingMode::Failed => {
-                    return Err(EiderError::HardwareFault(
-                        "refusing allocation: hardware declared failed after repeated faults"
-                            .into(),
-                    ))
-                }
-            };
-            let report = MemoryTester::new(kind).test(data.as_mut_slice());
-            if !report.is_healthy() {
-                self.health.record_fault(FaultCategory::MemoryCorruption);
-                return Err(EiderError::HardwareFault(format!(
-                    "memory test failed on fresh buffer: {} faulty words (first at {:?})",
-                    report.faulty_words().len(),
-                    report.errors.first().map(|e| e.word)
-                )));
-            }
-            data.fill(0);
-        }
-        Ok(TestedBuffer { words: data, len_bytes: bytes, _reservation: reservation })
-    }
 }
 
 /// RAII memory reservation; releases its bytes on drop.
@@ -265,42 +210,6 @@ impl Drop for MemoryReservation {
     }
 }
 
-/// A zeroed buffer that passed its allocation-time memory test.
-#[derive(Debug)]
-pub struct TestedBuffer {
-    words: Vec<u64>,
-    len_bytes: usize,
-    _reservation: MemoryReservation,
-}
-
-impl TestedBuffer {
-    pub fn len(&self) -> usize {
-        self.len_bytes
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len_bytes == 0
-    }
-
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
-    }
-
-    pub fn as_words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Re-run a memory test over the buffer *in place is impossible* — the
-    /// test is destructive — so this checks a scratch copy pattern instead:
-    /// periodic re-verification per §6 ("periodically to detect new
-    /// errors") is done by the owner when the buffer is free.
-    pub fn retest(&mut self, kind: MemTestKind) -> bool {
-        let report = MemoryTester::new(kind).test(self.words.as_mut_slice());
-        self.words.fill(0);
-        report.is_healthy()
-    }
-}
-
 /// Adapter: treat a byte slice as a word-addressable [`MemRegion`] (tail
 /// bytes that do not fill a word are not tested).
 pub struct ByteRegion<'a>(pub &'a mut [u8]);
@@ -322,7 +231,7 @@ mod tests {
     use super::*;
 
     fn mgr(limit: usize) -> Arc<BufferManager> {
-        BufferManager::new(BufferManagerConfig { memory_limit: limit, memtest_allocations: true })
+        BufferManager::new(BufferManagerConfig { memory_limit: limit })
     }
 
     #[test]
@@ -364,34 +273,6 @@ mod tests {
         assert_eq!(m.used_memory(), 50);
         drop(r);
         assert_eq!(m.used_memory(), 0);
-    }
-
-    #[test]
-    fn tested_allocation_is_zeroed_and_accounted() {
-        let m = mgr(1 << 20);
-        let buf = m.allocate_tested(4096).unwrap();
-        assert_eq!(buf.len(), 4096);
-        assert!(buf.as_words().iter().all(|&w| w == 0));
-        assert!(m.used_memory() >= 4096);
-        drop(buf);
-        assert_eq!(m.used_memory(), 0);
-    }
-
-    #[test]
-    fn allocation_over_limit_fails() {
-        let m = mgr(1024);
-        assert!(m.allocate_tested(2048).is_err());
-    }
-
-    #[test]
-    fn paranoid_mode_uses_full_test_and_failed_mode_refuses() {
-        let m = mgr(1 << 20);
-        // Trip the health monitor into Failed.
-        for _ in 0..8 {
-            m.health().record_fault(FaultCategory::MemoryCorruption);
-        }
-        let err = m.allocate_tested(64).unwrap_err();
-        assert!(matches!(err, EiderError::HardwareFault(_)));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * [`serde`] — hand-rolled binary encoding of values/vectors/chunks;
 //! * [`wal`] — the write-ahead log (separate file, checksummed records);
 //! * [`buffer`] — the buffer manager: memory accounting against the
-//!   configured limit (§4) and allocation-time memory testing (§3);
+//!   configured limit (§4);
 //! * [`spill`] — checksummed chunk spill files for out-of-core operators.
 
 pub mod block;
@@ -33,7 +33,7 @@ pub mod spill;
 pub mod wal;
 
 pub use block::{BlockId, BLOCK_PAYLOAD, BLOCK_SIZE, INVALID_BLOCK};
-pub use buffer::{BufferManager, BufferManagerConfig, MemoryReservation, TestedBuffer};
+pub use buffer::{BufferManager, BufferManagerConfig, MemoryReservation};
 pub use file_manager::{
     BlockManager, DatabaseHeader, InMemoryBlockManager, SingleFileBlockManager,
 };

@@ -8,8 +8,9 @@ use eider_exec::aggregate::AggKind;
 use eider_exec::expression::Expr;
 use eider_exec::ops::agg::{AggExpr, GroupTable};
 use eider_exec::ops::basic::ValuesOp;
+use eider_exec::ops::join::JoinProbeOp;
 use eider_exec::ops::join::{BuildSide, JoinType};
-use eider_exec::ops::{JoinProbeOp, OperatorBox, PhysicalOperator};
+use eider_exec::ops::{OperatorBox, PhysicalOperator};
 use eider_vector::{DataChunk, LogicalType, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -134,11 +134,11 @@ fn join_with_parallel_probe_matches_serial() {
 
 #[test]
 fn limit_over_join_stays_correct_with_the_parallel_build() {
-    // Plain LIMIT over a join is not a DAG shape, but the serial path
-    // still evaluates a chain-shaped big build side morsel-parallel and
-    // streams the probe with early-stop semantics. Probe rows arrive in
-    // scan order and matches in build-entry order, so even the unsorted
-    // prefix is identical at every thread count.
+    // Under a plain LIMIT the probe streams serially with early-stop
+    // semantics, while the big build side, read in full either way, still
+    // hashes morsel-parallel. Probe rows arrive in scan order and matches
+    // in build-entry order, so even the unsorted prefix is identical at
+    // every thread count.
     let db = star_db(50_000, 500, 31).unwrap();
     let sql = "SELECT c.cid, o.oid FROM customers c JOIN orders o ON c.cid = o.cid LIMIT 20";
     let serial = rows_for(&db, sql, 1);
@@ -437,4 +437,143 @@ fn cooperation_clamp_reduces_fanout_not_results() {
     assert_eq!(db.policy().worker_threads(), 4);
     let half = conn.query(sql).unwrap().to_rows();
     assert_eq!(sorted(half), sorted(conn.query(sql).unwrap().to_rows()));
+}
+
+/// Rows in one row group of an engine table.
+const ROW_GROUP: usize = 60 * 2048;
+
+/// `p (id, k, val)` over four row groups, the last one partial. `k`
+/// tracks `id`, except in row group 1, whose `k` range lies far above
+/// every other group's: a `k` range can prune the middle group while
+/// keeping its neighbours.
+fn multi_group_db() -> std::sync::Arc<eider::Database> {
+    let rows = 3 * ROW_GROUP + 20_000;
+    let db = eider::Database::in_memory().unwrap();
+    db.connect().execute("CREATE TABLE p (id INTEGER, k INTEGER, val INTEGER)").unwrap();
+    let entry = db.catalog().get_table("p").unwrap();
+    let txn = std::sync::Arc::new(db.txn_manager().begin());
+    let types = [eider::LogicalType::Integer; 3];
+    for base in (0..rows).step_by(2048) {
+        let batch: Vec<Vec<Value>> = (base..(base + 2048).min(rows))
+            .map(|i| {
+                let k = if i / ROW_GROUP == 1 { 1_000_000 + i } else { i };
+                [i, k, i % 97].map(|x| Value::Integer(x as i32)).to_vec()
+            })
+            .collect();
+        let chunk = eider::DataChunk::from_rows(&types, &batch).unwrap();
+        entry.data.append_chunk(&txn, &chunk).unwrap();
+    }
+    db.commit_transaction(std::sync::Arc::try_unwrap(txn).unwrap()).unwrap();
+    db
+}
+
+/// Zone-map pruning drops whole row groups before morsels are carved. A
+/// row-returning scan streams through the ordered result edge, which
+/// replays each arm's batches by sequence number — so the surviving
+/// morsels must be numbered densely however many groups were pruned:
+/// the leading group, a middle group, or both.
+#[test]
+fn pruned_scans_stream_every_row_at_every_thread_count() {
+    let db = multi_group_db();
+    for (sql, expected_rows) in [
+        // Point lookups: leading group pruned, then leading and middle.
+        ("SELECT id, k, val FROM p WHERE id = 150000", 1),
+        ("SELECT id, k, val FROM p WHERE id = 300000", 1),
+        ("SELECT id, val FROM p WHERE k = 250000", 1),
+        // Range lookups spanning two groups: the leading group pruned,
+        // and a gap where the middle group was pruned.
+        ("SELECT id, val FROM p WHERE id BETWEEN 240000 AND 250000", 10_001),
+        ("SELECT id, k FROM p WHERE k BETWEEN 100000 AND 250000", 27_121),
+        // Plain projection, no LIMIT.
+        ("SELECT id + 1, val * 2 FROM p WHERE id >= 250000 AND id < 270000", 20_000),
+    ] {
+        let serial = rows_for(&db, sql, 1);
+        assert_eq!(serial.len(), expected_rows, "{sql}");
+        for threads in [2, 4, 8] {
+            assert_eq!(rows_for(&db, sql, threads), serial, "{sql} (threads={threads})");
+        }
+    }
+}
+
+/// `EXPLAIN`'s routing verdict for `sql` at `threads` workers.
+fn routing_of(db: &std::sync::Arc<eider::Database>, sql: &str, threads: usize) -> String {
+    let conn = db.connect();
+    conn.execute(&format!("PRAGMA threads = {threads}")).unwrap();
+    let plan = conn.query(&format!("EXPLAIN {sql}")).unwrap().to_rows();
+    match plan.last().map(|row| &row[0]) {
+        Some(Value::Varchar(line)) => line.clone(),
+        other => panic!("no routing line: {other:?}"),
+    }
+}
+
+/// Shapes whose heavy input now lowers onto the DAG below a serial
+/// operator: Top-N over an aggregate over a join, the SELECT of an
+/// `INSERT … SELECT` / `CREATE TABLE … AS SELECT`, and a UNION ALL whose
+/// small arm cannot split. Each returns the same rows, in the same order,
+/// at every worker count.
+#[test]
+fn shapes_below_serial_operators_reach_the_dag_and_stay_identical() {
+    let db = star_db(50_000, 500, 41).unwrap();
+    let topn = "SELECT c.name, count(*), sum(o.qty) AS q FROM orders o \
+                JOIN customers c ON o.cid = c.cid GROUP BY c.name \
+                ORDER BY q DESC, c.name LIMIT 10";
+    assert!(routing_of(&db, topn, 4).starts_with("ROUTING parallel"), "{topn}");
+    let serial = rows_for(&db, topn, 1);
+    assert_eq!(serial.len(), 10);
+    for threads in [2, 4, 8] {
+        assert_eq!(rows_for(&db, topn, threads), serial, "{topn} (threads={threads})");
+    }
+
+    let db = multi_group_db();
+    let conn = db.connect();
+    conn.execute("CREATE TABLE small (id INTEGER, k INTEGER, val INTEGER)").unwrap();
+    conn.execute("INSERT INTO small VALUES (-1, -1, 1), (-2, -2, 2), (-3, -3, 3)").unwrap();
+    let union = "SELECT id, val FROM small UNION ALL SELECT id, val FROM p WHERE val < 5";
+    assert!(routing_of(&db, union, 4).starts_with("ROUTING parallel"), "{union}");
+    let serial = rows_for(&db, union, 1);
+    for threads in [2, 4, 8] {
+        assert_eq!(rows_for(&db, union, threads), serial, "{union} (threads={threads})");
+    }
+
+    // The written tables keep the source's scan order.
+    let source = "SELECT id, k, val FROM p WHERE val <> 3";
+    let expected = rows_for(&db, source, 1);
+    for threads in [1, 2, 4, 8] {
+        let conn = db.connect();
+        conn.execute(&format!("PRAGMA threads = {threads}")).unwrap();
+        conn.execute(&format!("CREATE TABLE ctas_{threads} AS {source}")).unwrap();
+        conn.execute(&format!("CREATE TABLE ins_{threads} (id INTEGER, k INTEGER, val INTEGER)"))
+            .unwrap();
+        conn.execute(&format!("INSERT INTO ins_{threads} {source}")).unwrap();
+        for table in [format!("ctas_{threads}"), format!("ins_{threads}")] {
+            let written = rows_for(&db, &format!("SELECT id, k, val FROM {table}"), 1);
+            assert!(written == expected, "{table} differs from its source");
+        }
+    }
+}
+
+/// A statement holds at most one fleet lease: under an admission limit of
+/// one, a merge join of two big inputs and a UNION ALL of two big arms
+/// that the chunk-queue shape rejects both lower one input onto the DAG
+/// and the other at one worker, and complete.
+#[test]
+fn one_dag_per_statement_never_waits_on_its_own_lease() {
+    let db = multi_group_db();
+    let merge_join = "SELECT count(*), sum(a.val), sum(b.k) FROM p a JOIN p b ON a.id = b.k";
+    let union = "SELECT count(*), sum(c) FROM \
+                 (SELECT val, count(*) + 0 AS c FROM p GROUP BY val \
+                  UNION ALL SELECT k % 1000, count(*) + 0 AS c FROM p WHERE id < 200000 \
+                  GROUP BY k % 1000) u";
+    let conn = db.connect();
+    let expected: Vec<_> = [merge_join, union].map(|sql| rows_for(&db, sql, 1)).to_vec();
+    conn.execute("PRAGMA admission_limit = 1").unwrap();
+    // A budget too small for a hash build of `p` demotes the join to an
+    // out-of-core merge join.
+    conn.execute("PRAGMA memory_limit = 4000000").unwrap();
+    conn.execute("PRAGMA threads = 4").unwrap();
+    for (sql, expected) in [merge_join, union].iter().zip(&expected) {
+        assert!(routing_of(&db, sql, 4).starts_with("ROUTING parallel"), "{sql}");
+        assert_eq!(&conn.query(sql).unwrap().to_rows(), expected, "{sql}");
+    }
+    conn.execute("PRAGMA memory_limit = 1073741824").unwrap();
 }
