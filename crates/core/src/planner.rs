@@ -302,12 +302,9 @@ fn lower_node(
                 )),
             }
         }
-        LogicalPlan::NestedLoopJoin { left, right, predicate } => Box::new(NestedLoopJoinOp::new(
-            lower(left)?,
-            drain(right)?,
-            predicate.clone(),
-            JoinType::Inner,
-        )?),
+        LogicalPlan::NestedLoopJoin { left, right, predicate } => {
+            Box::new(NestedLoopJoinOp::new(lower(left)?, drain(right)?, predicate.clone()))
+        }
         LogicalPlan::CrossJoin { left, right } => {
             Box::new(CrossProductOp::new(lower(left)?, drain(right)?))
         }

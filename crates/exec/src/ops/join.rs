@@ -27,9 +27,7 @@ use crate::ops::{OperatorBox, PhysicalOperator};
 use crate::rowkey::{encode_keys, KeyLayout, KeyScratch};
 use eider_coop::compression::CompressionLevel;
 use eider_storage::buffer::{BufferManager, MemoryReservation};
-use eider_vector::{
-    DataChunk, EiderError, LogicalType, Result, SelectionVector, Vector, VECTOR_SIZE,
-};
+use eider_vector::{DataChunk, LogicalType, Result, SelectionVector, Vector, VECTOR_SIZE};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -651,40 +649,23 @@ impl PhysicalOperator for CrossProductOp {
     }
 }
 
-/// Join with an arbitrary predicate (inequality joins): block nested loop
-/// over a materialized right side. The predicate sees left columns first,
-/// then right columns.
+/// Inner join with an arbitrary predicate (inequality joins): block nested
+/// loop over a materialized right side. The predicate sees left columns
+/// first, then right columns.
 pub struct NestedLoopJoinOp {
     cross: CrossProductOp,
     predicate: Expr,
-    join_type: JoinType,
-    left_width: usize,
-    out_types: Vec<LogicalType>,
 }
 
 impl NestedLoopJoinOp {
-    pub fn new(
-        left: OperatorBox,
-        right: OperatorBox,
-        predicate: Expr,
-        join_type: JoinType,
-    ) -> Result<Self> {
-        if join_type != JoinType::Inner {
-            return Err(EiderError::NotImplemented(
-                "nested-loop join currently supports INNER joins only".into(),
-            ));
-        }
-        let left_width = left.output_types().len();
-        let cross = CrossProductOp::new(left, right);
-        let out_types = cross.output_types();
-        Ok(NestedLoopJoinOp { cross, predicate, join_type, left_width, out_types })
+    pub fn new(left: OperatorBox, right: OperatorBox, predicate: Expr) -> Self {
+        NestedLoopJoinOp { cross: CrossProductOp::new(left, right), predicate }
     }
 }
 
 impl PhysicalOperator for NestedLoopJoinOp {
     fn output_types(&self) -> Vec<LogicalType> {
-        let _ = (self.join_type, self.left_width);
-        self.out_types.clone()
+        self.cross.output_types()
     }
 
     fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
@@ -918,9 +899,7 @@ mod tests {
                 vec![LogicalType::Integer],
             ),
             pred,
-            JoinType::Inner,
-        )
-        .unwrap();
+        );
         let rows = drain_rows(&mut op).unwrap();
         // 1 < 10, 1 < 20; 25 matches nothing.
         assert_eq!(rows.len(), 2);

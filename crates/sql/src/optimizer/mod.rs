@@ -14,8 +14,10 @@
 //!    (right) side of every join chosen small;
 //! 4. `limit_pushdown` — sink LIMIT through 1:1 projections so fewer
 //!    rows are materialized (and Top-N fusion sees `LIMIT` over `SORT`);
-//! 5. `column_prune` — narrow scans to the columns consumers touch
-//!    (§2: a columnar engine reads only what the query needs).
+//! 5. `column_prune` — one top-down walk that hands every node the
+//!    columns its parent reads: joins, filters and sorts add their keys,
+//!    non-root projections drop unread expressions, and every scan —
+//!    join inputs included — reads only what the query needs (§2).
 //!
 //! Filter pushdown runs before join reordering so scans carry their
 //! filters when [`cardinality`] estimates them; column pruning runs last
@@ -44,7 +46,7 @@ pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
     let plan = filter_pushdown::push_filters(plan)?;
     let plan = join_reorder::reorder_joins(plan)?;
     let plan = limit_pushdown::push_limits(plan)?;
-    let plan = column_prune::prune_scan_columns(plan)?;
+    let plan = column_prune::prune_columns(plan)?;
     Ok(plan)
 }
 
@@ -236,6 +238,16 @@ mod tests {
             false,
         )
         .unwrap();
+        cat.create_table(
+            "u",
+            vec![
+                ColumnDefinition::new("a", LogicalType::Integer),
+                ColumnDefinition::new("c", LogicalType::BigInt),
+                ColumnDefinition::new("d", LogicalType::Varchar),
+            ],
+            false,
+        )
+        .unwrap();
         let stmts = parse_statements(sql).unwrap();
         let plan = Binder::new(cat).bind_statement(&stmts[0]).unwrap();
         optimize(plan).unwrap().explain()
@@ -309,5 +321,137 @@ mod tests {
         let limit = text.find("LIMIT").expect("limit");
         let sort = text.find("SORT").expect("sort");
         assert!(limit < sort, "LIMIT must stay above SORT:\n{text}");
+    }
+
+    /// The SCAN / EXTERNAL_SCAN lines of the optimized plan, in plan order,
+    /// without their estimates.
+    fn scans(sql: &str) -> Vec<String> {
+        optimized(sql)
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("SCAN") || l.starts_with("EXTERNAL_SCAN"))
+            .map(|l| l.split(" est=").next().expect("split yields one part").to_string())
+            .collect()
+    }
+
+    #[test]
+    fn equi_join_inputs_read_only_outputs_and_keys() {
+        // Inner: t contributes only its key, u its key and the output.
+        assert_eq!(
+            scans("SELECT u.c FROM t JOIN u ON t.a = u.a"),
+            ["SCAN t cols=[0] filters=0", "SCAN u cols=[0, 1] filters=0"]
+        );
+        // LEFT: the same split; u.d is read by nobody.
+        assert_eq!(
+            scans("SELECT t.b, u.c FROM t LEFT JOIN u ON t.a = u.a"),
+            ["SCAN t cols=[0, 1] filters=0", "SCAN u cols=[0, 1] filters=0"]
+        );
+    }
+
+    #[test]
+    fn semi_and_anti_joins_read_only_keys_from_the_right() {
+        assert_eq!(
+            scans("SELECT d FROM u WHERE c IN (SELECT a FROM t)"),
+            ["SCAN u cols=[1, 2] filters=0", "SCAN t cols=[0] filters=0"]
+        );
+        assert_eq!(
+            scans("SELECT d FROM u WHERE a NOT IN (SELECT a FROM t)"),
+            ["SCAN u cols=[0, 2] filters=0", "SCAN t cols=[0] filters=0"]
+        );
+    }
+
+    #[test]
+    fn nested_loop_and_cross_joins_split_the_request() {
+        // The inequality predicate's columns join the request.
+        let text = optimized("SELECT t.b FROM t JOIN u ON t.a < u.c");
+        assert!(text.contains("NESTED_LOOP_JOIN"), "{text}");
+        assert_eq!(
+            scans("SELECT t.b FROM t JOIN u ON t.a < u.c"),
+            ["SCAN t cols=[0, 1] filters=0", "SCAN u cols=[1] filters=0"]
+        );
+        // count(*) over a comma join reads nothing: each side keeps its
+        // narrowest column (u.a is an INTEGER, u.c a BIGINT).
+        let text = optimized("SELECT count(*) FROM t, u");
+        assert!(text.contains("CROSS_JOIN"), "{text}");
+        assert_eq!(
+            scans("SELECT count(*) FROM t, u"),
+            ["SCAN t cols=[0] filters=0", "SCAN u cols=[0] filters=0"]
+        );
+    }
+
+    #[test]
+    fn distinct_sort_and_union_prune_below_themselves() {
+        assert_eq!(
+            scans("SELECT DISTINCT u.d FROM t JOIN u ON t.a = u.a"),
+            ["SCAN t cols=[0] filters=0", "SCAN u cols=[0, 2] filters=0"]
+        );
+        // The sort key c is read by nobody above the LIMIT but stays; the
+        // inner projection drops d, which nothing reads.
+        let sql = "SELECT s.b FROM (SELECT t.b AS b, u.c AS c, u.d AS d \
+                   FROM t JOIN u ON t.a = u.a ORDER BY c LIMIT 5) s";
+        let text = optimized(sql);
+        assert!(text.contains("LIMIT 5") && text.contains("SORT keys=1"), "{text}");
+        assert!(text.contains("PROJECT [\"b\", \"c\"]"), "{text}");
+        assert_eq!(scans(sql), ["SCAN t cols=[0, 1] filters=0", "SCAN u cols=[0, 1] filters=0"]);
+        assert_eq!(
+            scans(
+                "SELECT t.b FROM t JOIN u ON t.a = u.a \
+                 UNION ALL SELECT u.d FROM u JOIN t ON u.c = t.a"
+            ),
+            [
+                "SCAN t cols=[0, 1] filters=0",
+                "SCAN u cols=[0] filters=0",
+                "SCAN u cols=[1, 2] filters=0",
+                "SCAN t cols=[0] filters=0",
+            ]
+        );
+    }
+
+    #[test]
+    fn insert_select_and_ctas_prune_their_query() {
+        assert_eq!(
+            scans("INSERT INTO t SELECT u.a, u.d FROM u JOIN t ON u.a = t.a"),
+            ["SCAN u cols=[0, 2] filters=0", "SCAN t cols=[0] filters=0"]
+        );
+        assert_eq!(
+            scans("CREATE TABLE v AS SELECT u.c FROM u JOIN t ON u.a = t.a"),
+            ["SCAN u cols=[0, 1] filters=0", "SCAN t cols=[0] filters=0"]
+        );
+    }
+
+    #[test]
+    fn external_scans_narrow_under_a_join() {
+        let path = std::env::temp_dir().join(format!("eider_prune_{}.csv", std::process::id()));
+        std::fs::write(&path, "x,y,z\n10,20,30\n11,21,31\n").unwrap();
+        let sql = format!("SELECT r.z FROM read_csv('{}') r JOIN t ON r.x = t.a", path.display());
+        let got = scans(&sql);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(
+            got[0].starts_with("EXTERNAL_SCAN ")
+                && got[0].ends_with(" cols=[0, 2] prune_filters=0"),
+            "{got:?}"
+        );
+        assert_eq!(got[1], "SCAN t cols=[0] filters=0");
+    }
+
+    #[test]
+    fn filter_columns_need_not_be_output() {
+        // Pushed into the scan: u.c is filtered on but never emitted.
+        assert_eq!(
+            scans("SELECT t.b FROM t JOIN u ON t.a = u.a WHERE u.c > 5"),
+            ["SCAN t cols=[0, 1] filters=0", "SCAN u cols=[0] filters=1"]
+        );
+        // A residual filter reads its column from the scan's output.
+        assert_eq!(
+            scans("SELECT t.b FROM t JOIN u ON t.a = u.a WHERE u.c + 1 > 5"),
+            ["SCAN t cols=[0, 1] filters=0", "SCAN u cols=[0, 1] filters=0"]
+        );
+    }
+
+    #[test]
+    fn row_id_scans_stay_whole() {
+        assert_eq!(scans("UPDATE t SET b = 'x' WHERE a = 1"), ["SCAN t cols=[0, 1] filters=1"]);
+        assert_eq!(scans("DELETE FROM u WHERE c = 1"), ["SCAN u cols=[0, 1, 2] filters=1"]);
     }
 }

@@ -100,7 +100,9 @@ fn filters_push_into_scans_and_through_joins() {
         "SELECT fact.v, dim1.name FROM dim1 JOIN fact ON dim1.id = fact.d1 WHERE fact.v < 100",
     );
     assert!(!plan.contains("FILTER"), "predicate should reach the scan:\n{plan}");
-    assert!(plan.contains("SCAN fact cols=[0, 1, 2, 3] filters=1"), "{plan}");
+    // The join inputs read only the join keys and the selected columns;
+    // the pushed filter on fact.v addresses its physical id.
+    assert!(plan.contains("SCAN fact cols=[1, 3] filters=1"), "{plan}");
     assert!(plan.contains("SCAN dim1 cols=[0, 1] filters=0"), "{plan}");
 
     // Complex predicates (OR of columns) stay as residual FILTER nodes.
@@ -292,7 +294,9 @@ fn optimizer_pragma_restores_syntactic_plans() {
     conn.execute("PRAGMA optimizer=1").unwrap();
     let optimized = explain(&conn, sql);
     assert_eq!(scan_order(&optimized), ["fact", "dim1"], "{optimized}");
-    assert!(optimized.contains("SCAN fact cols=[0, 1, 2, 3] filters=1"), "{optimized}");
+    // count(*) reads only the join keys; v is filtered on, never output.
+    assert!(optimized.contains("SCAN fact cols=[1] filters=1"), "{optimized}");
+    assert!(optimized.contains("SCAN dim1 cols=[0] filters=0"), "{optimized}");
 
     // The toggle is per-connection: a sibling session still optimizes.
     conn.execute("PRAGMA optimizer=0").unwrap();

@@ -112,16 +112,18 @@ proptest! {
         fact in prop::collection::vec((0i32..20, 0i32..10, -100i32..100), 1..300),
         dim1 in prop::collection::vec(-50i32..50, 1..30),
         dim2 in prop::collection::vec(-50i32..50, 1..15),
-        comma_join in any::<bool>(),
+        shape in 0usize..10,
         fact_filter in prop::option::of(-120i32..120),
         dim_filter in prop::option::of(-60i32..60),
     ) {
-        // Random star query over random data: the full optimizer pipeline
+        // Random join query over random data: the full optimizer pipeline
         // (constant folding, filter pushdown, join reordering, column
         // pruning, stats-driven build sides and routing) must be invisible
-        // in the results. Compare against the `PRAGMA optimizer=0`
-        // baseline at every worker count — morsel decomposition is fixed,
-        // so all eight plans must agree bit-for-bit.
+        // in the results. `shape` picks the star join (comma or explicit
+        // syntax) or one of the plan shapes column pruning rewrites.
+        // Compare against the `PRAGMA optimizer=0` baseline at every
+        // worker count — morsel decomposition is fixed, so all eight plans
+        // must agree bit-for-bit.
         let db = Database::in_memory().unwrap();
         let setup = db.connect();
         setup.execute("CREATE TABLE f (k1 INTEGER, k2 INTEGER, v INTEGER)").unwrap();
@@ -136,32 +138,68 @@ proptest! {
             setup.execute(&format!("INSERT INTO {name} VALUES {}", rows.join(","))).unwrap();
         }
 
-        let mut filters: Vec<String> = Vec::new();
-        if let Some(c) = fact_filter {
-            filters.push(format!("f.v > {c}"));
-        }
-        if let Some(c) = dim_filter {
-            filters.push(format!("d1.w < {c}"));
-        }
-        let sql = if comma_join {
-            let mut preds = vec!["f.k1 = d1.id".to_string(), "f.k2 = d2.id".to_string()];
-            preds.extend(filters);
-            format!(
-                "SELECT f.k1, count(*), sum(f.v), min(d2.w) FROM d1, d2, f \
-                 WHERE {} GROUP BY f.k1 ORDER BY f.k1",
-                preds.join(" AND ")
-            )
+        let fact_pred = fact_filter.map(|c| format!("f.v > {c}"));
+        let dim_pred = dim_filter.map(|c| format!("d1.w < {c}"));
+        let filters: Vec<String> = fact_pred.iter().chain(&dim_pred).cloned().collect();
+        let where_clause = if filters.is_empty() {
+            String::new()
         } else {
-            let where_clause = if filters.is_empty() {
-                String::new()
-            } else {
-                format!(" WHERE {}", filters.join(" AND "))
-            };
-            format!(
+            format!(" WHERE {}", filters.join(" AND "))
+        };
+        // Shapes that do not join d1 in the outer query filter it inside
+        // their subquery instead.
+        let fact_where = fact_pred.map(|p| format!(" AND {p}")).unwrap_or_default();
+        let dim_where = dim_pred.map(|p| format!(" WHERE {p}")).unwrap_or_default();
+        let sql = match shape {
+            0 => {
+                let mut preds = vec!["f.k1 = d1.id".to_string(), "f.k2 = d2.id".to_string()];
+                preds.extend(filters);
+                format!(
+                    "SELECT f.k1, count(*), sum(f.v), min(d2.w) FROM d1, d2, f \
+                     WHERE {} GROUP BY f.k1 ORDER BY f.k1",
+                    preds.join(" AND ")
+                )
+            }
+            1 => format!(
                 "SELECT f.k1, count(*), sum(f.v), min(d2.w) \
                  FROM d1 JOIN f ON d1.id = f.k1 JOIN d2 ON f.k2 = d2.id\
                  {where_clause} GROUP BY f.k1 ORDER BY f.k1"
-            )
+            ),
+            2 => format!(
+                "SELECT f.k1, count(*), sum(f.v), min(d1.w) \
+                 FROM f LEFT JOIN d1 ON f.k2 = d1.id{where_clause} GROUP BY f.k1 ORDER BY f.k1"
+            ),
+            3 | 4 => format!(
+                "SELECT f.k1, count(*), sum(f.v) FROM f \
+                 WHERE f.k2 {} (SELECT id FROM d1{dim_where}){fact_where} \
+                 GROUP BY f.k1 ORDER BY f.k1",
+                if shape == 3 { "IN" } else { "NOT IN" }
+            ),
+            5 => format!(
+                "SELECT f.k1, count(*), sum(f.v), min(d1.w) \
+                 FROM f JOIN d1 ON f.k1 < d1.id{where_clause} GROUP BY f.k1 ORDER BY f.k1"
+            ),
+            6 => format!(
+                "SELECT DISTINCT f.k2, d1.w FROM f JOIN d1 ON f.k1 = d1.id{where_clause} \
+                 ORDER BY f.k2, d1.w"
+            ),
+            // The inner sort key w is not in the outer select list.
+            7 => format!(
+                "SELECT s.k1, s.v FROM (SELECT f.k1 AS k1, f.v AS v, d1.w AS w \
+                 FROM f JOIN d1 ON f.k1 = d1.id{where_clause} ORDER BY w, k1, v LIMIT 7) s \
+                 ORDER BY s.k1, s.v"
+            ),
+            8 => format!(
+                "SELECT u.k, count(*) FROM \
+                 (SELECT f.k1 AS k FROM f JOIN d1 ON f.k1 = d1.id{where_clause} \
+                  UNION ALL SELECT d2.id AS k FROM f JOIN d2 ON f.k2 = d2.id) u \
+                 GROUP BY u.k ORDER BY u.k"
+            ),
+            // The select list reads one side only.
+            _ => format!(
+                "SELECT f.v, f.k2 FROM f JOIN d1 ON f.k1 = d1.id{where_clause} \
+                 ORDER BY f.v, f.k2"
+            ),
         };
 
         let optimized = db.connect();
