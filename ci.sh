@@ -25,11 +25,12 @@ echo "==> key encoding and allocation pins, release build"
 # release builds; run its order and allocation properties there too.
 cargo test --release -q --no-fail-fast --test rowkey_props --test alloc_free_keys
 
-echo "==> serial/parallel equivalence: integration suites at 1, 4 and 8 workers"
+echo "==> serial/parallel equivalence: integration suites at 1, 2, 4 and 8 workers"
 # EIDER_THREADS pins the default worker cap, so every query in these
 # suites (not just the ones that set PRAGMA threads) runs serial once and
-# morsel-parallel twice, on any host including 1-core CI runners.
+# morsel-parallel three times, on any host including 1-core CI runners.
 EIDER_THREADS=1 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
+EIDER_THREADS=2 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
 EIDER_THREADS=4 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
 EIDER_THREADS=8 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
 

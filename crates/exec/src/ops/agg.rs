@@ -12,6 +12,8 @@ use crate::ops::{OperatorBox, PhysicalOperator};
 use crate::rowkey::{KeyLayout, KeyedTable};
 use eider_storage::buffer::{BufferManager, MemoryReservation};
 use eider_vector::{DataChunk, LogicalType, Result, Value, Vector, VECTOR_SIZE};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// One aggregate of the SELECT list: kind + argument expression.
@@ -30,6 +32,23 @@ impl AggExpr {
 
     fn new_state(&self) -> AggState {
         AggState::new(self.kind, self.arg.as_ref().map(Expr::result_type), self.distinct)
+    }
+
+    /// Whether the result is the same, bit for bit, whatever order its
+    /// partial states combine in: COUNT, COUNT(*), SUM over an integer
+    /// argument (an exact `i128` state), and MIN/MAX — none DISTINCT.
+    /// MIN/MAX over DOUBLE are out: the engine's value order ties `-0.0`
+    /// with `0.0` and NaN with every number, and a tie keeps the value
+    /// seen first. DOUBLE `sum`/`avg`, `stddev`/`variance` round
+    /// differently in another order.
+    pub fn exact_in_any_order(&self) -> bool {
+        let double_arg = self.arg.as_ref().map(Expr::result_type) == Some(LogicalType::Double);
+        !self.distinct
+            && match self.kind {
+                AggKind::CountStar | AggKind::Count => true,
+                AggKind::Sum | AggKind::Min | AggKind::Max => !double_arg,
+                AggKind::Avg | AggKind::StdDevSamp | AggKind::VarSamp => false,
+            }
     }
 }
 
@@ -74,8 +93,8 @@ pub fn update_simple_states(
 /// plus one *flat* aggregate-state array — group `g`'s state for
 /// aggregate `a` lives at `states[g * state_width + a]`, so a million
 /// groups cost one allocation, not a `Vec` each. One instance per serial
-/// operator; the parallel sink keeps one per morsel and merges them on
-/// encoded byte keys.
+/// operator; the parallel sink keeps partials (one per worker, or one per
+/// morsel) and merges them into hash partitions on encoded byte keys.
 pub struct GroupTable {
     table: KeyedTable<()>,
     states: Vec<AggState>,
@@ -130,6 +149,22 @@ impl GroupTable {
             + self.table.len() * self.state_width * std::mem::size_of::<AggState>()
     }
 
+    /// Charge the table's growth since the last call to `reservation`;
+    /// `charged` holds the bytes already charged for this table.
+    /// Capacities only grow, so the delta is monotonic.
+    pub fn charge_growth(
+        &self,
+        reservation: &mut MemoryReservation,
+        charged: &mut usize,
+    ) -> Result<()> {
+        let bytes = self.memory_bytes();
+        if bytes > *charged {
+            reservation.grow(bytes - *charged)?;
+            *charged = bytes;
+        }
+        Ok(())
+    }
+
     /// Fold one chunk in: vectorized hash + encode + upsert of the keys,
     /// then one scatter-kernel pass per aggregate.
     pub fn update_chunk(
@@ -176,21 +211,27 @@ impl GroupTable {
         Ok(())
     }
 
-    /// Merge another table's groups into this one (parallel partials, in
-    /// the other table's insertion order — deterministic given morsel
-    /// order). States of shared keys combine via [`AggState::merge`].
-    pub fn merge_from(&mut self, other: GroupTable) -> Result<()> {
+    /// Fold the groups of `partial` whose key hash falls in `partition`
+    /// of `partitions` (see [`crate::rowkey::hash_partition`]) into this
+    /// table, in `partial`'s insertion order. A group's first state is
+    /// cloned and later ones combine via [`AggState::merge`], so `partial`
+    /// is only borrowed and every partition's merge reads it at once.
+    pub fn merge_partition(
+        &mut self,
+        partial: &GroupTable,
+        partition: usize,
+        partitions: usize,
+    ) -> Result<()> {
         let GroupTable { table, states, state_width, .. } = self;
         let w = *state_width;
-        let mut incoming: Vec<Option<AggState>> = other.states.into_iter().map(Some).collect();
-        table.merge_from_with(other.table, |idx, other_idx, inserted| {
-            let partial = incoming[other_idx * w..(other_idx + 1) * w].iter_mut().map(|s| s.take());
+        table.merge_partition_from(&partial.table, partition, partitions, |idx, other, inserted| {
+            let incoming = &partial.states[other * w..(other + 1) * w];
             if inserted {
                 debug_assert_eq!(idx * w, states.len(), "new groups append in order");
-                states.extend(partial.map(|s| s.expect("moved once")));
+                states.extend_from_slice(incoming);
             } else {
-                for (a, p) in partial.enumerate() {
-                    states[idx * w + a].merge(&p.expect("moved once"))?;
+                for (s, p) in states[idx * w..(idx + 1) * w].iter_mut().zip(incoming) {
+                    s.merge(p)?;
                 }
             }
             Ok(())
@@ -200,24 +241,18 @@ impl GroupTable {
     /// Emit the groups named by `indices` as one output chunk: decoded key
     /// columns first, then finalized aggregate columns.
     pub fn emit(&self, indices: &[u32], aggs: &[AggExpr]) -> Result<DataChunk> {
-        let mut columns: Vec<Vector> = self
-            .table
-            .layout()
-            .types()
-            .iter()
-            .map(|&t| Vector::with_capacity(t, indices.len()))
-            .collect();
-        let key_width = columns.len();
-        columns.extend(aggs.iter().map(|a| Vector::with_capacity(a.result_type(), indices.len())));
-        for &idx in indices {
-            self.table.decode_key_into(idx as usize, &mut columns[..key_width])?;
-            let states = &self.states
-                [idx as usize * self.state_width..(idx as usize + 1) * self.state_width];
-            for (i, s) in states.iter().enumerate() {
-                columns[key_width + i].push_value(&s.finalize()?)?;
-            }
-        }
-        DataChunk::from_vectors(columns)
+        emit_groups(self.table.layout().types(), indices.iter().map(|&g| (self, g)), aggs)
+    }
+
+    /// Emit `(table, group)` rows of `tables` — the hash partitions of a
+    /// parallel merge — as one output chunk, like [`GroupTable::emit`].
+    pub fn emit_partitioned(
+        tables: &[GroupTable],
+        rows: &[(u32, u32)],
+        aggs: &[AggExpr],
+    ) -> Result<DataChunk> {
+        let key_types = tables[0].table.layout().types();
+        emit_groups(key_types, rows.iter().map(|&(t, g)| (&tables[t as usize], g)), aggs)
     }
 
     /// Group indices in encoded-key (= [`Value::total_cmp`]) order — what
@@ -225,18 +260,48 @@ impl GroupTable {
     pub fn sorted_order(&self) -> Vec<u32> {
         self.table.sorted_order()
     }
+
+    /// Interleave the [`GroupTable::sorted_order`]s of tables holding
+    /// disjoint keys (the hash partitions of a parallel merge) into one
+    /// encoded-key order of `(table, group)` pairs: a heap of the
+    /// partitions' heads compared on key bytes.
+    pub fn merge_sorted(tables: &[GroupTable], orders: &[Vec<u32>]) -> Vec<(u32, u32)> {
+        let key = |t: usize, pos: usize| tables[t].table.key_at(orders[t][pos] as usize);
+        let mut heads: BinaryHeap<Reverse<(&[u8], usize, usize)>> = (0..tables.len())
+            .filter(|&t| !orders[t].is_empty())
+            .map(|t| Reverse((key(t, 0), t, 0)))
+            .collect();
+        let mut out = Vec::with_capacity(orders.iter().map(Vec::len).sum());
+        while let Some(Reverse((_, t, pos))) = heads.pop() {
+            out.push((t as u32, orders[t][pos]));
+            if pos + 1 < orders[t].len() {
+                heads.push(Reverse((key(t, pos + 1), t, pos + 1)));
+            }
+        }
+        out
+    }
 }
 
-/// Fold one chunk into a GROUP BY table (grouping equality: NULL keys
-/// form one group). Shared by the serial operator and the parallel
-/// executor's per-morsel partials so the two engines cannot diverge.
-pub fn update_group_table(
-    groups: &[Expr],
+/// Build one output chunk from `(table, group)` rows: decoded key columns
+/// (of `key_types`) first, then finalized aggregate columns.
+fn emit_groups<'a>(
+    key_types: &[LogicalType],
+    rows: impl ExactSizeIterator<Item = (&'a GroupTable, u32)>,
     aggs: &[AggExpr],
-    table: &mut GroupTable,
-    chunk: &DataChunk,
-) -> Result<()> {
-    table.update_chunk(groups, aggs, chunk)
+) -> Result<DataChunk> {
+    let n = rows.len();
+    let mut columns: Vec<Vector> = key_types.iter().map(|&t| Vector::with_capacity(t, n)).collect();
+    let key_width = columns.len();
+    columns.extend(aggs.iter().map(|a| Vector::with_capacity(a.result_type(), n)));
+    for (table, idx) in rows {
+        let idx = idx as usize;
+        table.table.decode_key_into(idx, &mut columns[..key_width])?;
+        let states = &table.states[idx * table.state_width..(idx + 1) * table.state_width];
+        for (i, s) in states.iter().enumerate() {
+            columns[key_width + i].push_value(&s.finalize()?)?;
+        }
+    }
+    DataChunk::from_vectors(columns)
 }
 
 /// Aggregation without GROUP BY: exactly one output row.
@@ -317,20 +382,16 @@ impl HashAggregateOp {
             Some(b) => Some(b.reserve(0)?),
             None => None,
         };
-        let mut accounted = 0usize;
+        let mut charged = 0usize;
         while let Some(chunk) = self.child.next_chunk()? {
             if chunk.is_empty() {
                 continue;
             }
             table.update_chunk(&self.groups, &self.aggs, &chunk)?;
             // Periodic accounting of the real key-arena/bucket/state
-            // footprint (capacities only grow, so the delta is monotonic).
+            // footprint.
             if let Some(res) = &mut reservation {
-                let bytes = table.memory_bytes();
-                if bytes > accounted {
-                    res.grow(bytes - accounted)?;
-                    accounted = bytes;
-                }
+                table.charge_growth(res, &mut charged)?;
             }
         }
         self._reservation = reservation;

@@ -53,7 +53,11 @@
 //! chunks, which stay in probe-morsel order — match run to run), sorts
 //! break ties by scan position (a total comparator, so the k-way merge is
 //! independent of how rows landed in worker runs), and grouped aggregates
-//! emit groups in key order. Memory is accounted against the
+//! emit groups in key order. A grouped merge splits by key hash into one
+//! partition per worker, each combining its groups' partials in morsel
+//! order; per-worker partials (instead of per-morsel ones) are used only
+//! when every aggregate is exact in any combine order. Memory is
+//! accounted against the
 //! [`BufferManager`](eider_storage::buffer::BufferManager): aggregate
 //! partials, buffered sort runs (released as they spill), collected
 //! chunks and build sides all charge the §4 budget, and output

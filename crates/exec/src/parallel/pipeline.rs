@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`PipelineSink::Collect`] | produced chunks, tagged by morsel | re-order by morsel sequence |
 //! | [`PipelineSink::SimpleAggregate`] | per-morsel [`AggState`] rows | [`AggState::merge`] in morsel order |
-//! | [`PipelineSink::HashAggregate`] | per-morsel group hash tables | merge tables in morsel order, emit groups key-sorted |
+//! | [`PipelineSink::HashAggregate`] | group hash tables: one per worker if every aggregate is exact in any order, else one per morsel | one hash partition per worker, each merging its keys from every table in morsel order and sorting them; a heap merge of the partitions emits groups key-sorted |
 //! | [`PipelineSink::Sort`] | a [`SortSink`]: columnar run + byte keys (Top-N: cap-bounded), spilled past the budget, sorted on the worker | `SortMerge`: heap of run heads on key bytes, keys end in the scan position |
 //! | [`PipelineSink::JoinBuild`] | hashed build chunks ([`BuildPartial`]) | splice via [`BuildSide::from_partials`] |
 //! | [`PipelineSink::Queue`] | chunks of the current work unit | none — batches stream into a [`ChunkQueue`] per unit |
@@ -24,7 +24,15 @@
 //! Partial aggregate states are kept *per morsel* (not just per worker)
 //! and merged in morsel order, so results do not depend on which worker
 //! happened to claim which morsel: a query returns bit-identical results
-//! at every thread count, including floating-point aggregates. Sort runs
+//! at every thread count, including floating-point aggregates. The one
+//! exception is a grouped aggregate whose every aggregate is
+//! [exact in any order](AggExpr::exact_in_any_order) (COUNT, integer SUM,
+//! non-DOUBLE MIN/MAX, DISTINCT): its result cannot depend on the combine
+//! order, so each worker keeps one table across all its morsels. The
+//! grouped merge splits by key hash into one partition per worker; a
+//! group lives in exactly one partition, which combines its states in
+//! morsel order, so the partition count changes no value, and the output
+//! is in global key order, so it changes no row order either. Sort runs
 //! *are* per worker (and spill per worker), but every row carries its scan
 //! position and the merge comparator is total, so the merged order is
 //! independent of how rows landed in runs.
@@ -40,7 +48,7 @@
 //! bounded result queue as charged batches and materializes nothing.
 
 use crate::aggregate::AggState;
-use crate::ops::agg::{update_group_table, update_simple_states, AggExpr, GroupTable};
+use crate::ops::agg::{update_simple_states, AggExpr, GroupTable};
 use crate::ops::join::{BuildPartial, BuildSide, JoinProbeOp, JoinType};
 use crate::ops::sort::{MergeRun, SortKey, SortMerge, SortSink, SortSpec};
 use crate::ops::{FilterOp, OperatorBox, ProjectionOp, ValuesOp};
@@ -187,7 +195,10 @@ pub enum PipelineSink {
     /// Ungrouped aggregation; one output row.
     SimpleAggregate(Vec<AggExpr>),
     /// GROUP BY aggregation; groups emitted in key order. With empty
-    /// `aggs` this is exactly DISTINCT.
+    /// `aggs` this is exactly DISTINCT. Workers fill group tables (one per
+    /// worker when every aggregate is exact in any order, else one per
+    /// morsel); the merge runs on every worker, one hash partition each,
+    /// and inline as one partition when the tables hold few entries.
     HashAggregate { groups: Vec<crate::expression::Expr>, aggs: Vec<AggExpr> },
     /// ORDER BY; ties preserve scan order (stable like the serial sort).
     /// Runs larger than the pipeline's sort budget spill to disk through
@@ -259,19 +270,42 @@ enum LocalState {
     Queue(Vec<DataChunk>),
 }
 
-/// Partial aggregate state of one morsel. A `GroupTable` is an order of
-/// magnitude bigger than a simple-aggregate row, but a query holds only
-/// one partial per morsel — not worth a box per table.
+/// Partial aggregate state of one morsel — or, for a grouped aggregate
+/// whose every aggregate is [exact in any
+/// order](AggExpr::exact_in_any_order), of every morsel one worker
+/// claimed. A `GroupTable` is an order of magnitude bigger than a
+/// simple-aggregate row, but a query holds at most one partial per
+/// morsel — not worth a box per table.
 #[allow(clippy::large_enum_variant)]
 enum AggPartial {
     Simple(Vec<AggState>),
     /// Byte-keyed group table (see [`crate::rowkey`]); merged on encoded
-    /// keys, emitted key-sorted.
+    /// keys into hash partitions, emitted key-sorted.
     Hash(GroupTable),
 }
 
+/// The aggregate partial a worker is filling.
+struct OpenPartial {
+    /// Sequence of the first work unit folded in (the merge order).
+    seq: usize,
+    partial: AggPartial,
+    /// Bytes already charged to the worker's reservation for it.
+    charged: usize,
+}
+
+/// Below this many partial entries in total, a grouped aggregate merges
+/// as one partition inline on the caller: spawning merge threads would
+/// cost more than the merge itself (a dashboard's few-group panel).
+const INLINE_MERGE_ENTRIES: usize = 4 * VECTOR_SIZE;
+
 /// Per-execution context shared by all workers of one pipeline run.
 struct WorkerCtx {
+    /// Workers running the pipeline; a large grouped merge splits into as
+    /// many hash partitions.
+    threads: usize,
+    /// A grouped aggregate keeps one partial per worker instead of one per
+    /// morsel: every aggregate is exact in any combine order.
+    partial_per_worker: bool,
     /// Bytes of buffered sort rows per worker before a run spills.
     sort_budget: usize,
     /// The compiled ORDER BY of a sort sink.
@@ -425,8 +459,16 @@ impl ParallelPipeline {
     }
 
     fn worker_ctx(&self, threads: usize) -> WorkerCtx {
+        let partial_per_worker = matches!(&self.sink,
+            PipelineSink::HashAggregate { aggs, .. } if aggs.iter().all(AggExpr::exact_in_any_order));
         let PipelineSink::Sort { keys, limit } = &self.sink else {
-            return WorkerCtx { sort_budget: usize::MAX, sort: None, sort_cap: None };
+            return WorkerCtx {
+                threads,
+                partial_per_worker,
+                sort_budget: usize::MAX,
+                sort: None,
+                sort_cap: None,
+            };
         };
         // Explicit budget if one was set; otherwise a quarter of the
         // attached memory limit (the serial sort's convention); otherwise
@@ -441,6 +483,8 @@ impl ParallelPipeline {
         let per_worker =
             if total == usize::MAX { usize::MAX } else { (total / threads.max(1)).max(1 << 16) };
         WorkerCtx {
+            threads,
+            partial_per_worker,
             sort_budget: per_worker,
             sort: Some(Arc::new(SortSpec::new(keys.clone(), self.chain_types()))),
             sort_cap: limit.map(|(l, o)| l.saturating_add(o)),
@@ -490,6 +534,7 @@ impl ParallelPipeline {
         // Group cardinality observed on this worker's previous morsel,
         // used to pre-size the next morsel's table.
         let mut group_hint = 0usize;
+        let mut open: Option<OpenPartial> = None;
         // Hoisted off the per-batch path (queue batches arrive thousands
         // of times per query).
         let base_types = self.source.base_types();
@@ -514,21 +559,24 @@ impl ParallelPipeline {
             for step in &self.steps {
                 op = step.instantiate(op);
             }
-            let mut agg_partial = match &self.sink {
-                PipelineSink::SimpleAggregate(aggs) => {
-                    Some(AggPartial::Simple(aggs.iter().map(new_state).collect()))
-                }
-                PipelineSink::HashAggregate { groups, aggs } => {
-                    Some(AggPartial::Hash(GroupTable::with_capacity(groups, aggs, group_hint)))
-                }
-                _ => None,
-            };
+            if open.is_none() {
+                let partial = match &self.sink {
+                    PipelineSink::SimpleAggregate(aggs) => {
+                        Some(AggPartial::Simple(aggs.iter().map(new_state).collect()))
+                    }
+                    PipelineSink::HashAggregate { groups, aggs } => {
+                        Some(AggPartial::Hash(GroupTable::with_capacity(groups, aggs, group_hint)))
+                    }
+                    _ => None,
+                };
+                open = partial.map(|partial| OpenPartial { seq, partial, charged: 0 });
+            }
             let mut intra = 0usize;
             while let Some(chunk) = op.next_chunk()? {
                 if chunk.is_empty() {
                     continue;
                 }
-                self.consume_chunk(&mut local, agg_partial.as_mut(), seq, intra, chunk)?;
+                self.consume_chunk(ctx, &mut local, open.as_mut(), seq, intra, chunk)?;
                 intra += 1;
             }
             if let (PipelineSink::Queue { queue, arm }, LocalState::Queue(pending)) =
@@ -544,30 +592,14 @@ impl ParallelPipeline {
                     queue.push_charged(self.buffers.as_ref(), compose_seq(*arm, seq), chunks)?;
                 }
             }
-            if let (Some(mut partial), LocalState::Agg(parts, reservation)) =
-                (agg_partial, &mut local)
-            {
-                if let AggPartial::Hash(table) = &mut partial {
-                    group_hint = table.len();
-                    // Parked partials keep only groups + states; the
-                    // chunk-sized scratch would otherwise accumulate once
-                    // per morsel.
-                    table.seal();
+            if !ctx.partial_per_worker {
+                if let Some(partial) = open.take() {
+                    group_hint = park_partial(&mut local, partial)?;
                 }
-                if let Some(res) = reservation {
-                    // Charge the real partial footprint: key arena +
-                    // buckets + states for group tables, state rows for
-                    // ungrouped partials.
-                    let bytes = match &partial {
-                        AggPartial::Simple(states) => {
-                            states.iter().map(AggState::size_bytes).sum::<usize>()
-                        }
-                        AggPartial::Hash(table) => table.memory_bytes(),
-                    };
-                    res.grow(bytes)?;
-                }
-                parts.push((seq, partial));
             }
+        }
+        if let Some(partial) = open.take() {
+            park_partial(&mut local, partial)?;
         }
         Ok(match local {
             // The run sort happens here, on the worker: the parallel share
@@ -579,8 +611,9 @@ impl ParallelPipeline {
 
     fn consume_chunk(
         &self,
+        ctx: &WorkerCtx,
         local: &mut LocalState,
-        agg: Option<&mut AggPartial>,
+        agg: Option<&mut OpenPartial>,
         seq: usize,
         intra: usize,
         chunk: DataChunk,
@@ -593,12 +626,22 @@ impl ParallelPipeline {
                 chunks.push(((seq, intra), chunk));
             }
             (PipelineSink::SimpleAggregate(aggs), LocalState::Agg(..)) => {
-                let Some(AggPartial::Simple(states)) = agg else { unreachable!() };
+                let Some(OpenPartial { partial: AggPartial::Simple(states), .. }) = agg else {
+                    unreachable!()
+                };
                 update_simple_states(aggs, states, &chunk)?;
             }
-            (PipelineSink::HashAggregate { groups, aggs }, LocalState::Agg(..)) => {
-                let Some(AggPartial::Hash(table)) = agg else { unreachable!() };
-                update_group_table(groups, aggs, table, &chunk)?;
+            (PipelineSink::HashAggregate { groups, aggs }, LocalState::Agg(_, reservation)) => {
+                let Some(OpenPartial { partial: AggPartial::Hash(table), charged, .. }) = agg
+                else {
+                    unreachable!()
+                };
+                table.update_chunk(groups, aggs, &chunk)?;
+                // A per-worker table outlives the morsel: charge its growth
+                // as it happens, like the serial operator.
+                if let (true, Some(res)) = (ctx.partial_per_worker, reservation) {
+                    table.charge_growth(res, charged)?;
+                }
             }
             (PipelineSink::Sort { .. }, LocalState::Sort(sink)) => {
                 sink.consume(&chunk, seq, intra)?;
@@ -698,41 +741,64 @@ impl ParallelPipeline {
                 Ok(PipelineOutput::Chunks { chunks: vec![out], reservations: Vec::new() })
             }
             PipelineSink::HashAggregate { groups, aggs } => {
-                let (mut parts, _worker_reservations) = collect_agg_partials(locals);
+                let (mut parts, worker_reservations) = collect_agg_partials(locals);
                 parts.sort_by_key(|(seq, _)| *seq);
-                let mut merge_reservation = match &self.buffers {
-                    Some(b) => Some(b.reserve(0)?),
-                    None => None,
-                };
-                // Merge per-morsel tables on encoded byte keys, in morsel
-                // order — the merged states do not depend on which worker
-                // claimed which morsel.
-                let mut table = GroupTable::new(groups, aggs);
-                for (_, partial) in parts {
-                    let AggPartial::Hash(part) = partial else { unreachable!() };
-                    table.merge_from(part)?;
-                }
-                if let Some(res) = &mut merge_reservation {
-                    // Charge the merged table's real arena + bucket +
-                    // state footprint.
-                    res.grow(table.memory_bytes())?;
+                let partials: Vec<GroupTable> = parts
+                    .into_iter()
+                    .map(|(_, partial)| match partial {
+                        AggPartial::Hash(table) => table,
+                        AggPartial::Simple(_) => unreachable!(),
+                    })
+                    .collect();
+                let entries: usize = partials.iter().map(GroupTable::len).sum();
+                let partitions = if entries < INLINE_MERGE_ENTRIES { 1 } else { ctx.threads };
+                let largest = partials.iter().map(GroupTable::len).max().unwrap_or(0);
+                // One hash partition per merge worker. Each reads every
+                // partial in morsel order and keeps only its own keys, so
+                // a group's states combine in morsel order whatever the
+                // partition count; then it sorts its keys.
+                let merged = TaskScheduler::new(partitions).run(|p| {
+                    let mut table = GroupTable::with_capacity(groups, aggs, largest / partitions);
+                    let mut reservation = self.reserve()?;
+                    let mut charged = 0usize;
+                    for partial in &partials {
+                        table.merge_partition(partial, p, partitions)?;
+                        if let Some(res) = &mut reservation {
+                            table.charge_growth(res, &mut charged)?;
+                        }
+                    }
+                    let order = table.sorted_order();
+                    Ok((table, order, reservation))
+                })?;
+                // Every partition is merged: the partials, and the worker
+                // reservations charging them, can go.
+                drop(partials);
+                drop(worker_reservations);
+                let mut tables = Vec::with_capacity(partitions);
+                let mut orders = Vec::with_capacity(partitions);
+                let mut merge_reservations = Vec::with_capacity(partitions);
+                for (table, order, reservation) in merged {
+                    tables.push(table);
+                    orders.push(order);
+                    merge_reservations.extend(reservation);
                 }
                 // Serial hash aggregation emits groups in first-seen
                 // order, which is scan-dependent anyway; the parallel
-                // merge emits in encoded-key (total) order so output is
-                // identical for every worker count.
-                let order = table.sorted_order();
+                // merge emits in encoded-key (total) order — a heap merge
+                // of the sorted partitions — so output is identical for
+                // every worker count.
+                let order = GroupTable::merge_sorted(&tables, &orders);
                 if let Some((queue, arm)) = &self.output_queue {
                     // Stream windows straight into the result edge: the
-                    // merged table is the memory floor, the emitted chunks
-                    // never pile up beside it. The table's reservation
-                    // holds until the last window left it.
+                    // partition tables are the memory floor, the emitted
+                    // chunks never pile up beside them. Their reservations
+                    // hold until the last window left them.
                     let mut seq = 0usize;
                     for window in order.chunks(VECTOR_SIZE) {
-                        let chunk = table.emit(window, aggs)?;
+                        let chunk = GroupTable::emit_partitioned(&tables, window, aggs)?;
                         Self::push_result_chunk(&self.buffers, queue, *arm, &mut seq, chunk)?;
                     }
-                    drop(merge_reservation);
+                    drop(merge_reservations);
                     return Ok(PipelineOutput::Chunks {
                         chunks: Vec::new(),
                         reservations: Vec::new(),
@@ -740,12 +806,9 @@ impl ParallelPipeline {
                 }
                 let mut chunks = Vec::new();
                 for window in order.chunks(VECTOR_SIZE) {
-                    chunks.push(table.emit(window, aggs)?);
+                    chunks.push(GroupTable::emit_partitioned(&tables, window, aggs)?);
                 }
-                Ok(PipelineOutput::Chunks {
-                    chunks,
-                    reservations: merge_reservation.into_iter().collect(),
-                })
+                Ok(PipelineOutput::Chunks { chunks, reservations: merge_reservations })
             }
             PipelineSink::Sort { limit, .. } => {
                 let runs = locals
@@ -836,6 +899,32 @@ fn new_state(agg: &AggExpr) -> AggState {
         agg.arg.as_ref().map(crate::expression::Expr::result_type),
         agg.distinct,
     )
+}
+
+/// Seal a finished aggregate partial, charge what it holds beyond what is
+/// already charged, and park it for the merge. Returns its group count
+/// (the next per-morsel table's size hint).
+fn park_partial(local: &mut LocalState, mut open: OpenPartial) -> Result<usize> {
+    let LocalState::Agg(parts, reservation) = local else { unreachable!() };
+    let mut groups = 0;
+    if let AggPartial::Hash(table) = &mut open.partial {
+        groups = table.len();
+        // Parked partials keep only groups + states; the chunk-sized
+        // scratch would otherwise accumulate once per morsel.
+        table.seal();
+    }
+    if let Some(res) = reservation {
+        // The real partial footprint: key arena + buckets + states for
+        // group tables, state rows for ungrouped partials.
+        match &open.partial {
+            AggPartial::Simple(states) => {
+                res.grow(states.iter().map(AggState::size_bytes).sum())?
+            }
+            AggPartial::Hash(table) => table.charge_growth(res, &mut open.charged)?,
+        }
+    }
+    parts.push((open.seq, open.partial));
+    Ok(groups)
 }
 
 /// Split aggregate locals into partials plus the worker reservations that
@@ -1013,32 +1102,76 @@ mod tests {
     fn hash_aggregate_matches_serial_operator_groupwise() {
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
-        let groups = vec![Expr::column(1, LogicalType::Integer)];
-        let aggs = vec![
-            AggExpr { kind: AggKind::CountStar, arg: None, distinct: false },
-            AggExpr {
-                kind: AggKind::Sum,
-                arg: Some(Expr::column(0, LogicalType::Integer)),
-                distinct: false,
-            },
-            AggExpr {
-                kind: AggKind::Count,
-                arg: Some(Expr::column(0, LogicalType::Integer)),
-                distinct: true,
-            },
+        let col = |i| Some(Expr::column(i, LogicalType::Integer));
+        let agg = |kind, arg, distinct| AggExpr { kind, arg, distinct };
+        // COUNT(DISTINCT) keeps per-morsel partials; the second list is
+        // exact in any order, so it keeps one partial per worker.
+        let per_morsel = vec![
+            agg(AggKind::CountStar, None, false),
+            agg(AggKind::Sum, col(0), false),
+            agg(AggKind::Count, col(0), true),
         ];
-        let mut serial_op =
-            HashAggregateOp::new(serial_chain(&table, &txn), groups.clone(), aggs.clone(), None);
-        let mut serial = drain_rows(&mut serial_op).unwrap();
-        serial.sort_by(|a, b| cmp_value_rows(a, b));
-        for threads in [1, 2, 8] {
-            let p = pipeline(
-                &table,
-                &txn,
-                PipelineSink::HashAggregate { groups: groups.clone(), aggs: aggs.clone() },
-            );
-            // Parallel output is already key-sorted.
-            assert_eq!(rows_at(&p, threads), serial, "threads={threads}");
+        let per_worker = vec![
+            agg(AggKind::CountStar, None, false),
+            agg(AggKind::Sum, col(0), false),
+            agg(AggKind::Min, col(1), false),
+            agg(AggKind::Max, col(0), false),
+        ];
+        assert!(!per_morsel.iter().all(AggExpr::exact_in_any_order));
+        assert!(per_worker.iter().all(AggExpr::exact_in_any_order));
+        // Column 1 has 7 groups (an inline merge); column 0 has 15,000,
+        // past the inline cutoff, so the merge splits into one hash
+        // partition per worker (3 workers: not a power of two).
+        const { assert!(15_000 > INLINE_MERGE_ENTRIES) };
+        for (key, group_count) in [(1, 7), (0, 15_000)] {
+            let groups = vec![Expr::column(key, LogicalType::Integer)];
+            for aggs in [&per_morsel, &per_worker] {
+                let mut serial_op = HashAggregateOp::new(
+                    serial_chain(&table, &txn),
+                    groups.clone(),
+                    aggs.clone(),
+                    None,
+                );
+                let mut serial = drain_rows(&mut serial_op).unwrap();
+                assert_eq!(serial.len(), group_count);
+                serial.sort_by(|a, b| cmp_value_rows(a, b));
+                for threads in [1, 2, 3, 8] {
+                    let p = pipeline(
+                        &table,
+                        &txn,
+                        PipelineSink::HashAggregate { groups: groups.clone(), aggs: aggs.clone() },
+                    );
+                    // Parallel output is already key-sorted.
+                    assert_eq!(rows_at(&p, threads), serial, "key={key} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_aggregate_releases_every_reservation() {
+        let (mgr, table) = fixture();
+        let txn = Arc::new(mgr.begin());
+        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 64 << 20 });
+        let groups = vec![Expr::column(0, LogicalType::Integer)];
+        for distinct in [false, true] {
+            let aggs = vec![AggExpr {
+                kind: AggKind::Count,
+                arg: Some(Expr::column(1, LogicalType::Integer)),
+                distinct,
+            }];
+            for threads in [1, 3] {
+                let p = pipeline(
+                    &table,
+                    &txn,
+                    PipelineSink::HashAggregate { groups: groups.clone(), aggs: aggs.clone() },
+                )
+                .with_buffers(Some(Arc::clone(&buffers)));
+                let output = p.execute(threads).unwrap();
+                assert!(buffers.used_memory() > 0, "partition tables stay charged");
+                drop(output);
+                assert_eq!(buffers.used_memory(), 0, "distinct={distinct} threads={threads}");
+            }
         }
     }
 

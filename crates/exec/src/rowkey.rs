@@ -510,6 +510,16 @@ pub fn decode_key_values(layout: &KeyLayout, key: &[u8]) -> Result<Vec<Value>> {
     Ok(vectors.iter().map(|v| v.get_value(0)).collect())
 }
 
+/// The hash partition, of `partitions`, that a key with stored hash
+/// `hash` belongs to. It reads the hash's top 32 bits (a multiply-shift
+/// range reduction, so any partition count splits evenly), while
+/// [`KeyedTable`]'s slot index is dominated by the low bits: a partition's
+/// keys still spread over its table's slots.
+#[inline]
+pub fn hash_partition(hash: u64, partitions: usize) -> usize {
+    (((hash >> 32) * partitions as u64) >> 32) as usize
+}
+
 /// An arena-backed hash table keyed by encoded key rows.
 ///
 /// Keys live contiguously in one byte arena; the open-addressing slot
@@ -518,7 +528,7 @@ pub fn decode_key_values(layout: &KeyLayout, key: &[u8]) -> Result<Vec<Value>> {
 /// lookups compare hash then bytes, and inserting a new key copies its
 /// encoding into the arena (amortized growth only). This is the table
 /// behind both the serial [`HashAggregateOp`](crate::ops::HashAggregateOp)
-/// and the parallel aggregate sink's per-morsel partials.
+/// and the parallel aggregate sink's partials and hash partitions.
 pub struct KeyedTable<T> {
     layout: KeyLayout,
     arena: Vec<u8>,
@@ -579,8 +589,8 @@ impl<T> KeyedTable<T> {
     }
 
     /// Free the per-chunk encode/hash staging buffers. Call when the table
-    /// becomes a parked partial awaiting a merge: `merge_from` never
-    /// touches scratch, and the buffers otherwise dominate the footprint
+    /// becomes a parked partial awaiting a merge: merging never touches
+    /// scratch, and the buffers otherwise dominate the footprint
     /// of small tables (they are sized per input chunk, not per group).
     pub fn release_scratch(&mut self) {
         self.scratch = KeyScratch::default();
@@ -717,42 +727,30 @@ impl<T> KeyedTable<T> {
         result
     }
 
-    /// Fold another table (same layout) into this one: payloads of keys
-    /// already present are combined, new keys move their payload over.
-    /// Iterates `other` in insertion order, keeping merges deterministic.
-    pub fn merge_from(
+    /// Upsert the entries of `other` (same layout) that fall in hash
+    /// partition `partition` of `partitions` (see [`hash_partition`]),
+    /// in `other`'s insertion order, keeping merges deterministic.
+    /// `other` is only borrowed: a new key copies its bytes and clones its
+    /// payload. For callers that keep per-entry state *outside* the
+    /// payload (e.g. a flat aggregate-state array indexed by entry),
+    /// `on_entry(idx, other_idx, inserted)` reports each merged key's
+    /// entry index here, its index in `other`, and whether it is new.
+    pub fn merge_partition_from(
         &mut self,
-        other: KeyedTable<T>,
-        mut combine: impl FnMut(&mut T, T) -> Result<()>,
-    ) -> Result<()> {
-        let KeyedTable { arena, keys, hashes, payloads, .. } = other;
-        for ((&(off, len), &h), payload) in keys.iter().zip(&hashes).zip(payloads) {
-            let key = &arena[off as usize..(off + len) as usize];
-            let mut moved = Some(payload);
-            let (idx, inserted) = self.upsert(h, key, || moved.take().expect("payload"));
-            if !inserted {
-                combine(&mut self.payloads[idx], moved.take().expect("payload"))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Like [`KeyedTable::merge_from`], but for callers that keep
-    /// per-entry state *outside* the payload (e.g. a flat aggregate-state
-    /// array indexed by entry): reports, in `other`'s insertion order,
-    /// each key's entry index in `self` and whether it was newly
-    /// inserted. Payloads of keys already present are dropped.
-    pub fn merge_from_with(
-        &mut self,
-        other: KeyedTable<T>,
+        other: &KeyedTable<T>,
+        partition: usize,
+        partitions: usize,
         mut on_entry: impl FnMut(usize, usize, bool) -> Result<()>,
-    ) -> Result<()> {
-        let KeyedTable { arena, keys, hashes, payloads, .. } = other;
-        let mut payloads = payloads.into_iter();
-        for (other_idx, (&(off, len), &h)) in keys.iter().zip(&hashes).enumerate() {
-            let key = &arena[off as usize..(off + len) as usize];
-            let mut moved = payloads.next();
-            let (idx, inserted) = self.upsert(h, key, || moved.take().expect("payload"));
+    ) -> Result<()>
+    where
+        T: Clone,
+    {
+        for (other_idx, &h) in other.hashes.iter().enumerate() {
+            if hash_partition(h, partitions) != partition {
+                continue;
+            }
+            let (idx, inserted) =
+                self.upsert(h, other.key_at(other_idx), || other.payloads[other_idx].clone());
             on_entry(idx, other_idx, inserted)?;
         }
         Ok(())
@@ -877,47 +875,87 @@ mod tests {
         assert_eq!(varchar.fixed_width(), None);
     }
 
-    #[test]
-    fn keyed_table_groups_and_merges() {
-        let layout = KeyLayout::new(vec![LogicalType::Integer]);
-        let mut a: KeyedTable<i64> = KeyedTable::new(layout.clone());
-        let mut ids = Vec::new();
+    /// A table of `n` rows keyed `i % modulo`, with each key's row count
+    /// kept beside it in entry order.
+    fn counted_table(n: i32, modulo: i32) -> (KeyedTable<()>, Vec<i64>) {
+        let mut table = KeyedTable::new(KeyLayout::new(vec![LogicalType::Integer]));
         let col = Vector::from_values(
             LogicalType::Integer,
-            &(0..2048).map(|i| Value::Integer(i % 100)).collect::<Vec<_>>(),
+            &(0..n).map(|i| Value::Integer(i % modulo)).collect::<Vec<_>>(),
         )
         .unwrap();
-        a.upsert_rows(std::slice::from_ref(&col), 2048, || 0i64, &mut ids).unwrap();
+        let mut ids = Vec::new();
+        table.upsert_rows(std::slice::from_ref(&col), n as usize, || (), &mut ids).unwrap();
+        let mut counts = vec![0i64; table.len()];
         for &g in &ids {
-            a.payloads_mut()[g as usize] += 1;
+            counts[g as usize] += 1;
         }
+        (table, counts)
+    }
+
+    #[test]
+    fn keyed_table_groups_and_merges() {
+        let (a, a_counts) = counted_table(2048, 100);
         assert_eq!(a.len(), 100);
-        let mut b: KeyedTable<i64> = KeyedTable::new(layout.clone());
-        let col2 = Vector::from_values(
-            LogicalType::Integer,
-            &(0..300).map(|i| Value::Integer(i % 150)).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        b.upsert_rows(std::slice::from_ref(&col2), 300, || 0i64, &mut ids).unwrap();
-        for &g in &ids {
-            b.payloads_mut()[g as usize] += 1;
+        let (b, b_counts) = counted_table(300, 150);
+        for partitions in [1, 2, 3] {
+            // Every partition reads both inputs in order and keeps only
+            // its own keys; counts live beside the table, by entry index.
+            let mut merged: Vec<(KeyedTable<()>, Vec<i64>)> = Vec::new();
+            for p in 0..partitions {
+                let mut table = KeyedTable::new(a.layout().clone());
+                let mut counts: Vec<i64> = Vec::new();
+                for (input, input_counts) in [(&a, &a_counts), (&b, &b_counts)] {
+                    table
+                        .merge_partition_from(input, p, partitions, |idx, other, inserted| {
+                            if inserted {
+                                counts.push(input_counts[other]);
+                            } else {
+                                counts[idx] += input_counts[other];
+                            }
+                            Ok(())
+                        })
+                        .unwrap();
+                }
+                merged.push((table, counts));
+            }
+            // Partitions are disjoint and cover all 150 keys; shared keys
+            // combined.
+            assert_eq!(merged.iter().map(|(t, _)| t.len()).sum::<usize>(), 150);
+            let total: i64 = merged.iter().flat_map(|(_, c)| c).sum();
+            assert_eq!(total, 2048 + 300);
+            // Each partition's sorted order decodes ascending, and together
+            // they hold exactly the keys 0..150.
+            let mut all: Vec<Value> = Vec::new();
+            for (table, _) in &merged {
+                let decoded: Vec<Value> = table
+                    .sorted_order()
+                    .iter()
+                    .map(|&i| decode_key_values(table.layout(), table.key_at(i as usize)).unwrap())
+                    .map(|mut row| row.remove(0))
+                    .collect();
+                assert!(
+                    decoded.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()),
+                    "partitions={partitions}"
+                );
+                all.extend(decoded);
+            }
+            all.sort_by(Value::total_cmp);
+            let expected: Vec<Value> = (0..150).map(Value::Integer).collect();
+            assert_eq!(all, expected, "partitions={partitions}");
         }
-        a.merge_from(b, |x, y| {
-            *x += y;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(a.len(), 150);
-        let total: i64 = a.payloads().iter().sum();
-        assert_eq!(total, 2048 + 300);
-        // Sorted order decodes ascending.
-        let order = a.sorted_order();
-        let decoded: Vec<Vec<Value>> = order
-            .iter()
-            .map(|&i| decode_key_values(a.layout(), a.key_at(i as usize)).unwrap())
-            .collect();
-        let expected: Vec<Vec<Value>> = (0..150).map(|i| vec![Value::Integer(i)]).collect();
-        assert_eq!(decoded, expected);
+    }
+
+    #[test]
+    fn hash_partition_splits_evenly_at_any_count() {
+        for partitions in [1usize, 2, 3, 7, 8] {
+            let mut sizes = vec![0usize; partitions];
+            for i in 0..10_000u64 {
+                sizes[hash_partition(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), partitions)] += 1;
+            }
+            let even = 10_000 / partitions;
+            assert!(sizes.iter().all(|&n| n.abs_diff(even) < even / 10), "{sizes:?}");
+        }
     }
 
     #[test]

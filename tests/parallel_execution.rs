@@ -36,6 +36,14 @@ const WRANGLING_QUERIES: &[&str] = &[
      UNION ALL SELECT id FROM t WHERE id >= 58000) u ORDER BY id DESC",
     "SELECT id FROM (SELECT id FROM t WHERE id < 2000 \
      UNION ALL SELECT id FROM t WHERE id >= 58000) u ORDER BY id DESC LIMIT 30 OFFSET 3",
+    // ~10k groups: past the inline-merge cutoff, so the grouped merge
+    // splits into one hash partition per worker. Integer aggregates keep
+    // one partial per worker (the first and the last); DOUBLE aggregates
+    // keep one per morsel (DOUBLE min/max included).
+    "SELECT d, count(*), sum(id), min(v), max(v) FROM t GROUP BY d",
+    "SELECT d, sum(v), avg(v), count(*) FROM t GROUP BY d",
+    "SELECT DISTINCT d FROM t",
+    "SELECT d, count(*), sum(id), min(id), max(id) FROM t GROUP BY d",
 ];
 
 fn rows_for(db: &std::sync::Arc<eider::Database>, sql: &str, threads: usize) -> Vec<Vec<Value>> {
@@ -414,10 +422,12 @@ fn grouped_aggregate_respects_the_memory_limit() {
     conn.execute("PRAGMA memory_limit = 2000000").unwrap();
     let r = conn.query("SELECT id, count(*) FROM t GROUP BY id");
     assert!(r.is_err(), "60k-group aggregate must exceed a 2MB budget");
+    assert_eq!(db.buffers().used_memory(), 0);
     // With the budget restored the same query runs.
     conn.execute("PRAGMA memory_limit = 1073741824").unwrap();
     let ok = conn.query("SELECT id, count(*) FROM t GROUP BY id").unwrap();
     assert_eq!(ok.row_count(), ROWS);
+    assert_eq!(db.buffers().used_memory(), 0);
 }
 
 #[test]
