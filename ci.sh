@@ -15,6 +15,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> paper claims: every regenerator in release with --check"
+# Each bin prints its numbers and exits non-zero when a reproduced
+# claim's direction fails (thresholds in each bin's doc comment).
+for bin in section2 section3 table1 figure1 section4 section5 dashboard_sim; do
+    cargo run --release -q -p eider-bench --bin "$bin" -- --check
+done
+
 # --no-fail-fast: a red test binary that sorts first must not hide a
 # later one.
 echo "==> cargo test -q (tier-1: root package)"

@@ -9,7 +9,7 @@
 //! so aggregation kernels pay only the final check.
 //!
 //! AHEAD reports a 1.1×–1.6× slowdown for hardened query processing; the
-//! `resilience` bench reproduces that band with these codecs.
+//! `section3` regenerator measures that band with these codecs.
 
 use eider_vector::{EiderError, Result};
 
@@ -47,12 +47,6 @@ impl AnCodec {
     #[inline]
     pub fn encode(&self, v: i64) -> i64 {
         v.wrapping_mul(self.a)
-    }
-
-    /// Decode without checking (caller must have validated).
-    #[inline]
-    pub fn decode_unchecked(&self, code: i64) -> i64 {
-        code / self.a
     }
 
     /// True if `code` is a valid code word.
@@ -103,11 +97,6 @@ impl AnCodec {
             }
         }
         Ok(())
-    }
-
-    /// Decode a full slice with validation.
-    pub fn decode_slice(&self, codes: &[i64]) -> Result<Vec<i64>> {
-        codes.iter().map(|&c| self.decode(c)).collect()
     }
 
     /// Sum directly over encoded data, validating only the *result* — the

@@ -7,18 +7,22 @@
 //! * E2b — bulk updates (`UPDATE t SET d = NULL WHERE d = -999`) are
 //!   chunk-granular and column-wise; the same wrangling done row-by-row
 //!   (OLTP style, one statement per row) is orders of magnitude slower.
+//!
+//! `--check` fails unless vectorized is at least 4x faster than the row
+//! engine and the bulk UPDATE at least 100x faster per row.
 
+use eider_bench::row_engine::{run_to_end, RowAggregate, RowFilter, RowSource};
 use eider_bench::workload::Workload;
-use eider_bench::wrangling_db;
+use eider_bench::{wrangling_db, Claims};
 use eider_exec::aggregate::AggKind;
 use eider_exec::expression::Expr;
 use eider_exec::ops::agg::AggExpr;
-use eider_exec::row_engine::{run_to_end, RowAggregate, RowFilter, RowSource};
 use eider_txn::CmpOp;
 use eider_vector::{LogicalType, Value};
 use std::time::Instant;
 
 fn main() {
+    let mut claims = Claims::from_args();
     let rows = 2_000_000;
     println!("# E2a: vectorized vs tuple-at-a-time (SELECT count(*), sum(v) WHERE d <> -999)");
     let db = wrangling_db(rows, 0.25, 7).expect("db");
@@ -59,10 +63,11 @@ fn main() {
     println!("  rows               : {rows}");
     println!("  vectorized         : {:>10.1} ms", vec_time.as_secs_f64() * 1e3);
     println!("  tuple-at-a-time    : {:>10.1} ms", row_time.as_secs_f64() * 1e3);
+    let speedup = row_time.as_secs_f64() / vec_time.as_secs_f64();
     println!(
-        "  speedup            : {:>10.1}x  (paper: vectorized engines win by ~10-100x)",
-        row_time.as_secs_f64() / vec_time.as_secs_f64()
+        "  speedup            : {speedup:>10.1}x  (paper: vectorized engines win by ~10-100x)"
     );
+    claims.check("E2a vectorized >= 4x faster than tuple-at-a-time", speedup >= 4.0);
 
     println!("\n# E2b: bulk wrangling UPDATE vs row-at-a-time updates");
     let db = wrangling_db(200_000, 0.25, 9).expect("db");
@@ -94,8 +99,8 @@ fn main() {
         per_row * 1e3,
         extrapolated
     );
-    println!(
-        "  bulk speedup       : {:.0}x  (paper: ETL updates are bulk, not OLTP)",
-        extrapolated / bulk_time.as_secs_f64()
-    );
+    let bulk_speedup = extrapolated / bulk_time.as_secs_f64();
+    println!("  bulk speedup       : {bulk_speedup:.0}x  (paper: ETL updates are bulk, not OLTP)");
+    claims.check("E2b bulk UPDATE >= 100x faster per row than row-by-row", bulk_speedup >= 100.0);
+    claims.finish();
 }

@@ -8,17 +8,25 @@
 //! * E3c — moving-inversions memory tests catch stuck and coupled cells
 //!   that naive write-read misses; the health monitor escalates after the
 //!   first fault (Table 1's recurrence argument).
+//!
+//! `--check` fails unless every injected block flip and every single-bit
+//! flip of an AN-coded word is detected, and moving inversions finds all
+//! three injected defects while naive write-read finds fewer. The AN-code
+//! overhead is printed against the paper's band, not checked: it is a
+//! timing ratio of two memory-bound loops.
 
+use eider_bench::ancode::AnCodec;
+use eider_bench::memtest::{MemTestKind, MemoryTester};
 use eider_bench::workload::Workload;
-use eider_resilience::ancode::AnCodec;
+use eider_bench::Claims;
 use eider_resilience::fault::{CellDefect, Defect, FaultInjector, SimulatedMemory};
 use eider_resilience::health::HealthMonitor;
-use eider_resilience::memtest::{MemTestKind, MemoryTester};
 use eider_storage::file_manager::{BlockManager, InMemoryBlockManager};
 use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
+    let mut claims = Claims::from_args();
     println!("# E3a: block checksum detection of injected disk bit flips");
     let health = Arc::new(HealthMonitor::new());
     let mgr = InMemoryBlockManager::with_health(Arc::clone(&health));
@@ -43,6 +51,7 @@ fn main() {
         health.disk_faults(),
         health.mode()
     );
+    claims.check("E3a every injected block flip is detected", detected == trials);
 
     println!("\n# E3b: AN-code hardening overhead (paper target: 1.1x-1.6x slower)");
     let data32 = Workload::new(3).int_column(4_000_000, 1_000_000);
@@ -81,11 +90,19 @@ fn main() {
         "  incl. 32->64 blowup: {:>8.2}x (vs original i32 data)",
         hard_time.as_secs_f64() / plain32_time.as_secs_f64()
     );
-    // Detection: flip one bit anywhere, the hardened sum must fail.
-    let mut corrupted = encoded.clone();
-    corrupted[1_234_567] ^= 1 << 17;
-    assert!(codec.sum_encoded(&corrupted).is_err());
-    println!("  single bit flip    : detected by AN check");
+    // Detection: flip each bit of one word in turn; A is odd, so every
+    // single flip leaves the hardened sum a non-multiple of A.
+    let mut corrupted = encoded;
+    let caught = (0..64)
+        .filter(|bit| {
+            corrupted[1_234_567] ^= 1 << bit;
+            let err = codec.sum_encoded(&corrupted).is_err();
+            corrupted[1_234_567] ^= 1 << bit;
+            err
+        })
+        .count();
+    println!("  single bit flips   : {caught} of 64 detected by the AN check");
+    claims.check("E3b every single-bit flip of an AN-coded word is detected", caught == 64);
 
     println!("\n# E3c: moving inversions vs naive write-read on defective memory");
     let defects = vec![
@@ -108,21 +125,23 @@ fn main() {
         }
     }
     let report = MemoryTester::new(MemTestKind::Full).test(&mut mem);
+    let found = report.faulty_words();
     println!("  naive write-read   : {naive_errors} of 3 defects found (stuck bits only)");
-    println!(
-        "  moving inversions  : {} defective words found: {:?}",
-        report.faulty_words().len(),
-        report.faulty_words()
+    println!("  moving inversions  : {} defective words found: {found:?}", found.len());
+    claims.check(
+        "E3c moving inversions finds all 3 defects, naive write-read fewer",
+        found == [1000, 40_000, 70_000] && naive_errors < 3,
     );
     let started = Instant::now();
     let mut buf = vec![0u64; 8 << 20 >> 3]; // 8 MiB buffer
     let r = MemoryTester::new(MemTestKind::Quick).test(buf.as_mut_slice());
     let t = started.elapsed();
     println!(
-        "  quick test of 8MiB buffer: {:.2} ms ({} passes, healthy: {}) — the \
-         allocation-time cost in the buffer manager",
+        "  quick test of 8MiB buffer: {:.2} ms ({} passes, healthy: {}) — what an \
+         allocation-time test in the buffer manager would cost",
         t.as_secs_f64() * 1e3,
         r.passes,
         r.is_healthy()
     );
+    claims.finish();
 }

@@ -1,7 +1,12 @@
 //! §4 (Cooperation) experiment driver: hash join vs out-of-core merge join
 //! across memory budgets — the RAM/CPU trade-off the paper's example
 //! describes, including the crossover where the hash join stops fitting.
+//!
+//! `--check` fails unless the join the policy chooses returns the
+//! unconstrained row count at every budget, and the hash join beats the
+//! merge join at the largest budget.
 
+use eider_bench::Claims;
 use eider_coop::compression::CompressionLevel;
 use eider_coop::policy::{choose_join_strategy, JoinStrategy};
 use eider_exec::expression::Expr;
@@ -13,7 +18,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
+    let mut claims = Claims::from_args();
     let db = eider_bench::star_db(1_000_000, 50_000, 11).expect("db");
+    let expected_rows = db
+        .connect()
+        .query("SELECT count(*) FROM orders o JOIN customers c ON o.cid = c.cid")
+        .expect("unconstrained join")
+        .scalar()
+        .ok()
+        .and_then(|v| v.as_i64())
+        .expect("count") as usize;
     let orders = db.catalog().get_table("orders").expect("orders");
     let customers = db.catalog().get_table("customers").expect("customers");
 
@@ -31,6 +45,8 @@ fn main() {
         "{:<16} {:>14} {:>14} {:>10} {:>8}",
         "budget", "hash join ms", "merge join ms", "chosen", "spills"
     );
+    let mut chosen_exact = true;
+    let mut hash_wins_largest = false;
     for budget_mb in [512usize, 64, 8, 1] {
         let budget = budget_mb << 20;
         db.buffers().set_memory_limit(budget);
@@ -80,6 +96,13 @@ fn main() {
             Err(_) => "OOM".to_string(),
         };
         let chosen = choose_join_strategy(50_000 * 2 * 16, db.buffers().available_memory());
+        chosen_exact &= match chosen {
+            JoinStrategy::Hash => hash_result.as_ref().is_ok_and(|&r| r == expected_rows),
+            JoinStrategy::OutOfCoreMerge => merge_rows == expected_rows,
+        };
+        if budget_mb == 512 {
+            hash_wins_largest = hash_result.is_ok() && hash_ms < merge_ms;
+        }
         println!(
             "{:<16} {:>14} {:>14} {:>10} {:>8}",
             format!("{budget_mb} MB"),
@@ -97,4 +120,10 @@ fn main() {
          budgets hash goes OOM (or would starve the app) while the merge join\n\
          degrades gracefully via spilling — the paper's RAM/CPU+IO trade."
     );
+    claims.check(
+        &format!("the chosen join returns all {expected_rows} rows at every budget"),
+        chosen_exact,
+    );
+    claims.check("hash join is faster than merge join at 512 MB", hash_wins_largest);
+    claims.finish();
 }

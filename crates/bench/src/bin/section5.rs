@@ -5,11 +5,16 @@
 //! * value-at-a-time API — ODBC/JDBC/SQLite-style per-value calls;
 //! * serialized protocol — row-major byte stream + simulated 1 Gbit/s wire
 //!   (what a client-server deployment must pay).
+//!
+//! `--check` fails unless zero-copy is at least 10x faster than the value
+//! API, and the value API at least 2x faster than the protocol.
 
-use eider_client::protocol::{deserialize_result, serialize_result, Bandwidth};
+use eider_bench::protocol::{deserialize_result, serialize_result, Bandwidth};
+use eider_bench::Claims;
 use std::time::Instant;
 
 fn main() {
+    let mut claims = Claims::from_args();
     let rows = 2_000_000;
     let db = eider_bench::star_db(rows, 10_000, 21).expect("db");
     let conn = db.connect();
@@ -77,4 +82,8 @@ fn main() {
          is orders of magnitude faster; per-value calls dominate the value API;\n\
          serialization + bandwidth dominate the socket protocol."
     );
+    let (zero_copy, value_api) = (zero_copy.as_secs_f64(), value_api.as_secs_f64());
+    claims.check("zero-copy >= 10x faster than the value API", zero_copy * 10.0 <= value_api);
+    claims.check("value API >= 2x faster than the protocol", value_api * 2.0 <= protocol_total);
+    claims.finish();
 }

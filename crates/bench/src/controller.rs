@@ -11,65 +11,16 @@
 //! * **DBMS memory budget** — the remainder of the budget after the
 //!   application's share (floored at a configurable minimum), which the
 //!   caller pushes into the buffer manager.
+//!
+//! [`SimulatedApplication`] is the scripted host application that drives
+//! it (DESIGN.md substitution F1). The engine's own host feedback reads
+//! the real machine instead (`eider_coop::hostprobe`) and shrinks its
+//! memory limit through `eider_coop::policy::effective_memory_limit`.
 
-use crate::compression::CompressionLevel;
-use crate::monitor::ResourceUsage;
-
-/// Memory-axis cooperation against a *real* host (§4): shrink the
-/// configured DBMS memory limit while the rest of the machine is under
-/// memory pressure, never below a 1/20 floor of the configured limit (the
-/// same floor ratio [`ControllerConfig::for_budget`] uses for the
-/// simulated controller).
-///
-/// `host_total` and `host_other_used` come from the `/proc` probe
-/// (`HostResourceProbe::sample_host_memory`): total machine RAM and the
-/// bytes everything *except* this process currently uses. The effective
-/// limit is the configured one capped by what the machine actually has
-/// left — an embedded DBMS takes the memory the host application is not
-/// using, it does not hold a budget the machine cannot back.
-///
-/// ```
-/// use eider_coop::controller::effective_memory_limit;
-/// // Plenty free: the configured limit stands.
-/// assert_eq!(effective_memory_limit(1 << 30, 16 << 30, 4 << 30), 1 << 30);
-/// // The host is squeezed: only what is left, down to the floor.
-/// assert_eq!(effective_memory_limit(1 << 30, 16 << 30, (16u64 << 30) as usize - (1 << 28)),
-///            1 << 28);
-/// assert_eq!(effective_memory_limit(1 << 30, 16 << 30, 16 << 30), (1 << 30) / 20);
-/// ```
-pub fn effective_memory_limit(
-    configured: usize,
-    host_total: usize,
-    host_other_used: usize,
-) -> usize {
-    if host_total == 0 {
-        return configured; // no measurement: the configured limit stands
-    }
-    let free_for_dbms = host_total.saturating_sub(host_other_used);
-    let floor = (configured / 20).max(1);
-    configured.min(free_for_dbms).max(floor)
-}
-
-/// Fair per-session slice of the DBMS memory budget when the host-probe
-/// feedback loop is on: the effective limit divided evenly across the
-/// sessions participating in rebalancing, floored at a 1/20 slice of the
-/// limit so a burst of connections cannot shrink anyone's quota to
-/// nothing. (With the probe off, sessions are not rebalanced at all —
-/// each may use the whole limit, and the account chain alone prevents a
-/// combined overshoot.)
-///
-/// ```
-/// use eider_coop::controller::fair_session_share;
-/// assert_eq!(fair_session_share(1 << 20, 4), 1 << 18);
-/// assert_eq!(fair_session_share(1 << 20, 1), 1 << 20);
-/// // The floor: 40 sessions do not get 1/40 slices.
-/// assert_eq!(fair_session_share(1 << 20, 40), (1 << 20) / 20);
-/// assert_eq!(fair_session_share(1 << 20, 0), 1 << 20);
-/// ```
-pub fn fair_session_share(effective_limit: usize, sessions: usize) -> usize {
-    let floor = (effective_limit / 20).max(1);
-    (effective_limit / sessions.max(1)).max(floor)
-}
+use eider_coop::compression::CompressionLevel;
+use eider_coop::monitor::{ResourceMonitor, ResourceUsage};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Thresholds as fractions of the total memory budget.
 #[derive(Debug, Clone)]
@@ -127,10 +78,6 @@ impl AdaptiveController {
         &self.config
     }
 
-    pub fn current_level(&self) -> CompressionLevel {
-        self.level
-    }
-
     /// Observe application usage and decide compression level + budget.
     pub fn observe(&mut self, usage: ResourceUsage) -> Decision {
         let pressure = usage.app_memory_bytes as f64 / self.config.total_memory as f64;
@@ -172,27 +119,88 @@ impl AdaptiveController {
     }
 }
 
+/// One phase of a scripted application trace.
+#[derive(Debug, Clone, Copy)]
+pub struct TracePhase {
+    /// How many `step()`s this phase lasts.
+    pub steps: usize,
+    pub memory_bytes: usize,
+    pub cpu: f64,
+}
+
+/// The scripted "dashboard application" of Figure 1: bursty RAM and CPU
+/// usage that the DBMS must react to. `step()` advances the trace;
+/// sampling is thread-safe so the DBMS can observe from worker threads.
+pub struct SimulatedApplication {
+    phases: Vec<TracePhase>,
+    position: AtomicUsize,
+    current: Mutex<ResourceUsage>,
+}
+
+impl SimulatedApplication {
+    pub fn new(phases: Vec<TracePhase>) -> Arc<Self> {
+        assert!(!phases.is_empty(), "trace needs at least one phase");
+        let first =
+            ResourceUsage { app_memory_bytes: phases[0].memory_bytes, app_cpu: phases[0].cpu };
+        Arc::new(SimulatedApplication {
+            phases,
+            position: AtomicUsize::new(0),
+            current: Mutex::new(first),
+        })
+    }
+
+    /// The Figure 1 trace: idle, then a steadily climbing RAM ramp, then a
+    /// burst plateau, then release.
+    pub fn figure1_trace(total_budget: usize) -> Arc<Self> {
+        let gb = |f: f64| (total_budget as f64 * f) as usize;
+        let mut phases = vec![TracePhase { steps: 10, memory_bytes: gb(0.10), cpu: 0.1 }];
+        // Ramp 10% -> 80% in 3.5% increments.
+        let mut frac = 0.10;
+        while frac < 0.80 {
+            phases.push(TracePhase { steps: 2, memory_bytes: gb(frac), cpu: 0.2 });
+            frac += 0.035;
+        }
+        phases.push(TracePhase { steps: 20, memory_bytes: gb(0.85), cpu: 0.6 });
+        phases.push(TracePhase { steps: 10, memory_bytes: gb(0.45), cpu: 0.3 });
+        phases.push(TracePhase { steps: 15, memory_bytes: gb(0.10), cpu: 0.1 });
+        Self::new(phases)
+    }
+
+    /// Advance the trace one step; returns `false` once the trace is over
+    /// (usage then stays at the final phase's level).
+    pub fn step(&self) -> bool {
+        let pos = self.position.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut acc = 0usize;
+        for phase in &self.phases {
+            acc += phase.steps;
+            if pos < acc {
+                self.set(phase);
+                return true;
+            }
+        }
+        self.set(self.phases.last().expect("non-empty"));
+        false
+    }
+
+    fn set(&self, phase: &TracePhase) {
+        *self.current.lock().expect("trace lock") =
+            ResourceUsage { app_memory_bytes: phase.memory_bytes, app_cpu: phase.cpu };
+    }
+
+    pub fn total_steps(&self) -> usize {
+        self.phases.iter().map(|p| p.steps).sum()
+    }
+}
+
+impl ResourceMonitor for SimulatedApplication {
+    fn sample(&self) -> ResourceUsage {
+        *self.current.lock().expect("trace lock")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn effective_limit_tracks_host_pressure() {
-        let gib = 1usize << 30;
-        // Unconstrained host: configured limit untouched.
-        assert_eq!(effective_memory_limit(gib, 16 * gib, 2 * gib), gib);
-        // Exactly enough left: still the full limit.
-        assert_eq!(effective_memory_limit(gib, 16 * gib, 15 * gib), gib);
-        // Less left than configured: the limit shrinks to what exists.
-        assert_eq!(effective_memory_limit(gib, 16 * gib, 15 * gib + gib / 2), gib / 2);
-        // Host fully committed (or over-committed): the 1/20 floor holds.
-        assert_eq!(effective_memory_limit(gib, 16 * gib, 16 * gib), gib / 20);
-        assert_eq!(effective_memory_limit(gib, 16 * gib, 20 * gib), gib / 20);
-        // No measurement: pass through.
-        assert_eq!(effective_memory_limit(gib, 0, 123), gib);
-        // Tiny configured limits keep a non-zero floor.
-        assert_eq!(effective_memory_limit(10, 100, 100), 1);
-    }
 
     fn usage(frac: f64, total: usize) -> ResourceUsage {
         ResourceUsage { app_memory_bytes: (total as f64 * frac) as usize, app_cpu: 0.0 }
@@ -244,11 +252,10 @@ mod tests {
         // Running the Figure 1 application trace through the controller
         // must produce the None -> Light -> Heavy -> ... -> None pattern.
         let total = 1 << 30;
-        let app = crate::monitor::SimulatedApplication::figure1_trace(total);
+        let app = SimulatedApplication::figure1_trace(total);
         let mut c = AdaptiveController::new(ControllerConfig::for_budget(total));
         let mut seen = Vec::new();
         loop {
-            use crate::monitor::ResourceMonitor;
             let d = c.observe(app.sample());
             if seen.last() != Some(&d.compression) {
                 seen.push(d.compression);
@@ -268,5 +275,37 @@ mod tests {
             ],
             "Figure 1 ladder"
         );
+    }
+
+    #[test]
+    fn trace_advances_through_phases() {
+        let app = SimulatedApplication::new(vec![
+            TracePhase { steps: 2, memory_bytes: 100, cpu: 0.1 },
+            TracePhase { steps: 2, memory_bytes: 900, cpu: 0.9 },
+        ]);
+        assert_eq!(app.sample().app_memory_bytes, 100);
+        app.step();
+        assert_eq!(app.sample().app_memory_bytes, 100);
+        app.step();
+        assert_eq!(app.sample().app_memory_bytes, 900);
+        app.step();
+        assert!(!app.step(), "trace exhausted");
+        assert_eq!(app.sample().app_memory_bytes, 900);
+    }
+
+    #[test]
+    fn figure1_trace_ramps_up_and_down() {
+        let app = SimulatedApplication::figure1_trace(1_000_000);
+        let mut peak = 0;
+        loop {
+            peak = peak.max(app.sample().app_memory_bytes);
+            if !app.step() {
+                break;
+            }
+        }
+        let last = app.sample().app_memory_bytes;
+        assert!(peak >= 800_000, "trace must burst above 80%: {peak}");
+        assert!(last <= 200_000, "trace must release at the end: {last}");
+        assert!(app.total_steps() > 40);
     }
 }

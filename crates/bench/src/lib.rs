@@ -1,17 +1,67 @@
-//! Paper regenerators and shared fixtures.
+//! Paper regenerators, the paper's strawmen, and shared fixtures.
 //!
 //! Every table and figure of the paper has a regenerator binary here:
 //! `src/bin/table1.rs`, `src/bin/figure1.rs`, `src/bin/section2.rs` ..
-//! `src/bin/section5.rs` and `src/bin/dashboard_sim.rs`. The library holds
-//! what those binaries and the root integration tests share: the seeded
-//! data generators in [`workload`] and the database builders below.
+//! `src/bin/section5.rs` and `src/bin/dashboard_sim.rs`. Each prints its
+//! numbers and, with `--check`, exits non-zero when a claim's direction
+//! does not hold (see [`Claims`]).
+//!
+//! The library holds what those binaries, the examples and the root
+//! integration tests share:
+//!
+//! * the comparison code the engine never runs — the §2 tuple-at-a-time
+//!   engine ([`row_engine`]), §3's AN codes ([`ancode`]), moving-inversions
+//!   memory test ([`memtest`]) and Table 1 failure model
+//!   ([`failure_model`]), §4's Figure 1 controller and scripted
+//!   application ([`controller`]), and §5's row-major client protocol
+//!   ([`protocol`]). Keeping them here keeps them out of every host that
+//!   links the engine;
+//! * the seeded data generators in [`workload`] and the database builders
+//!   below.
+//!
 //! Performance is measured by `benchmarks/e2e`, not here.
 
+pub mod ancode;
+pub mod controller;
+pub mod failure_model;
+pub mod memtest;
+pub mod protocol;
+pub mod row_engine;
 pub mod workload;
 
 use eider_core::{Database, Result};
 use std::sync::Arc;
 use workload::Workload;
+
+/// The direction checks of one regenerator run. Every claim prints a
+/// verdict line; with `--check` on the command line, [`Claims::finish`]
+/// exits non-zero if any claim failed, so CI catches a regression in a
+/// reproduced result and not only a crash.
+pub struct Claims {
+    enforce: bool,
+    failed: usize,
+}
+
+impl Claims {
+    /// Enforcing iff the binary was started with `--check`.
+    pub fn from_args() -> Self {
+        Claims { enforce: std::env::args().skip(1).any(|a| a == "--check"), failed: 0 }
+    }
+
+    /// Record whether `claim` holds.
+    pub fn check(&mut self, claim: &str, holds: bool) {
+        println!("  claim {}: {claim}", if holds { "holds " } else { "FAILED" });
+        self.failed += usize::from(!holds);
+    }
+
+    /// Report the verdict; under `--check`, exit 1 if a claim failed.
+    pub fn finish(self) {
+        if self.failed > 0 && self.enforce {
+            eprintln!("{} paper claim(s) failed", self.failed);
+            std::process::exit(1);
+        }
+    }
+}
 
 /// Build an in-memory database with the §2 wrangling table loaded.
 pub fn wrangling_db(rows: usize, missing: f64, seed: u64) -> Result<Arc<Database>> {

@@ -14,7 +14,7 @@
 //! rewritten while its neighbours still hold the old pattern, coupling
 //! faults between adjacent cells get exercised in both directions.
 
-use crate::fault::SimulatedMemory;
+use eider_resilience::fault::SimulatedMemory;
 
 /// Abstraction over a word-addressable memory region so that the identical
 /// test algorithm runs against real buffers (`[u64]`) and against
@@ -86,8 +86,8 @@ impl MemTestReport {
     }
 }
 
-/// How thorough a test to run. The buffer manager uses `Quick` on
-/// allocation and `Full` when the health monitor has escalated (§3: "we
+/// How thorough a test to run. The paper's plan is `Quick` on buffer
+/// allocation and `Full` once the health monitor has escalated (§3: "we
 /// could afford to use more lightweight error detection routines if we can
 /// verify that the hardware is working as expected").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +175,7 @@ impl MemoryTester {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{CellDefect, Defect, SimulatedMemory};
+    use eider_resilience::fault::{CellDefect, Defect, SimulatedMemory};
 
     #[test]
     fn healthy_memory_passes() {

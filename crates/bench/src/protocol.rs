@@ -12,7 +12,7 @@
 //! byte counts into wire seconds — the closed-source client protocol the
 //! paper compares against, rebuilt (DESIGN.md substitution E5).
 
-use crate::result::MaterializedResult;
+use eider_client::result::MaterializedResult;
 use eider_storage::serde::{
     read_value, tag_to_type, type_to_tag, write_value, BinReader, BinWriter,
 };

@@ -3,18 +3,20 @@
 //! §6 motivates DuckDB's vectorized engine against the alternatives; the
 //! canonical strawman is the iterator model where every operator yields
 //! one row per call and every value moves through a dynamic `Value`. The
-//! `olap` benchmark runs identical queries through this engine and the
+//! `section2` regenerator runs the same query through this engine and the
 //! vectorized one to reproduce the shape of that argument: per-value
 //! interpretation overhead dominates as soon as tables stop being tiny.
+//! Because it shares no operator code with the engine, it also serves as
+//! a test oracle for the vectorized operators.
 //!
 //! The row engine shares expression semantics (via [`Expr::evaluate_row`])
 //! and aggregate states with the vectorized engine, so results are
 //! identical and only the execution model differs.
 
-use crate::aggregate::AggState;
-use crate::expression::Expr;
-use crate::fxhash::FxHashMap;
-use crate::ops::agg::AggExpr;
+use eider_exec::aggregate::AggState;
+use eider_exec::expression::Expr;
+use eider_exec::fxhash::FxHashMap;
+use eider_exec::ops::agg::AggExpr;
 use eider_vector::{DataChunk, Result, Value};
 
 /// One-row-at-a-time pull interface.
@@ -204,8 +206,8 @@ pub fn run_to_end(op: &mut dyn RowOperator) -> Result<Vec<Vec<Value>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::AggKind;
-    use crate::expression::ArithOp;
+    use eider_exec::aggregate::AggKind;
+    use eider_exec::expression::ArithOp;
     use eider_txn::CmpOp;
     use eider_vector::LogicalType;
 

@@ -34,11 +34,6 @@ impl ColumnDefinition {
         self.not_null = true;
         self
     }
-
-    pub fn with_default(mut self, v: Value) -> Self {
-        self.default = Some(v);
-        self
-    }
 }
 
 /// A named table bound to versioned storage.

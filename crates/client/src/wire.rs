@@ -2,8 +2,8 @@
 //!
 //! The paper's thesis (§5) is that conventional client protocols pay a
 //! row-at-a-time serialization tax that dwarfs query execution for
-//! analytical result sets. [`protocol`](crate::protocol) implements that
-//! straw man for comparison; this module is the engine's answer when a
+//! analytical result sets. The `section5` regenerator in `crates/bench`
+//! measures that straw man; this module is the engine's answer when a
 //! socket *is* required: results cross the wire in the same columnar
 //! layout the engine produces, one [`DataChunk`] per frame, so the
 //! transfer is a handful of `memcpy`s per column instead of a

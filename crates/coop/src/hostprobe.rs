@@ -2,9 +2,9 @@
 //!
 //! "An embedded OLAP system can monitor resource usage of all other
 //! running applications and then tweak its run-time behavior accordingly."
-//! The [`SimulatedApplication`](crate::monitor::SimulatedApplication)
-//! substitutes a scripted trace for tests and figures; this module closes
-//! the loop on Linux hosts by reading the kernel's accounting directly:
+//! The paper regenerators in `crates/bench` substitute a scripted trace;
+//! this module closes the loop on Linux hosts by reading the kernel's
+//! accounting directly:
 //!
 //! * `/proc/stat` — cumulative CPU ticks across all cores (busy = total −
 //!   idle − iowait);
@@ -17,8 +17,8 @@
 //! CPU load is a *rate*, so the probe differentiates two consecutive tick
 //! snapshots; the first call (and any call with no elapsed ticks) falls
 //! back to a 1-minute `/proc/loadavg` estimate. All readers degrade to
-//! `None` on non-Linux hosts — callers keep whatever the simulated
-//! monitor last pushed, so the probe is strictly additive.
+//! `None` on non-Linux hosts — callers keep whatever the host last pushed
+//! into the policy, so the probe is strictly additive.
 
 use crate::monitor::{ResourceMonitor, ResourceUsage};
 use parking_lot::Mutex;
@@ -128,7 +128,7 @@ impl HostResourceProbe {
 
     /// Full memory snapshot: machine total plus the bytes everything
     /// *except* this process uses. Feeds
-    /// [`effective_memory_limit`](crate::controller::effective_memory_limit)
+    /// [`effective_memory_limit`](crate::policy::effective_memory_limit)
     /// — the memory-side half of the §4 loop. `None` when `/proc/meminfo`
     /// is unavailable.
     pub fn sample_host_memory(&self) -> Option<HostMemory> {
@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn live_probe_reports_sane_fractions_when_available() {
         if !HostResourceProbe::available() {
-            return; // non-Linux host: the simulated monitor remains in charge
+            return; // non-Linux host: nothing to probe
         }
         let probe = HostResourceProbe::new();
         let first = probe.sample_other_cpu().unwrap();

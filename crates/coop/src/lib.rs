@@ -9,12 +9,13 @@
 //!   runtime ([`ResourcePolicy`], `PRAGMA memory_limit` / `threads`);
 //! * watches the application's resource usage through a
 //!   [`monitor::ResourceMonitor`] — the real `/proc`-based
-//!   [`hostprobe::HostResourceProbe`] on Linux hosts, the scripted
-//!   [`monitor::SimulatedApplication`] everywhere else (and in the
-//!   figure-regeneration harnesses) — and reacts: the [`controller::AdaptiveController`]
-//!   implements Figure 1's reactive compression ladder
-//!   (None → Light → Heavy as application RAM pressure grows, with
-//!   hysteresis so the system does not flap);
+//!   [`hostprobe::HostResourceProbe`] on Linux hosts — and reacts:
+//!   [`policy::effective_memory_limit`] shrinks the DBMS memory limit while
+//!   the rest of the machine is under pressure, and
+//!   [`policy::clamp_worker_threads`] gives up cores the application is
+//!   busy with. Figure 1's reactive compression ladder (None → Light →
+//!   Heavy, with hysteresis) and its scripted application trace are paper
+//!   demos and live in `crates/bench`;
 //! * can trade RAM for CPU at the physical-plan level: the
 //!   [`policy::choose_join_strategy`] helper demotes a hash join to an
 //!   out-of-core merge join when the build side does not fit the budget
@@ -27,13 +28,11 @@
 //! lightweight/heavyweight pair Figure 1 sketches.
 
 pub mod compression;
-pub mod controller;
 pub mod hostprobe;
 pub mod monitor;
 pub mod policy;
 
 pub use compression::{compress, decompress, CompressionLevel};
-pub use controller::{AdaptiveController, ControllerConfig, Decision};
 pub use hostprobe::HostResourceProbe;
-pub use monitor::{ResourceMonitor, ResourceUsage, SimulatedApplication, StaticMonitor};
+pub use monitor::{ResourceMonitor, ResourceUsage, StaticMonitor};
 pub use policy::{choose_join_strategy, JoinStrategy, ResourcePolicy};

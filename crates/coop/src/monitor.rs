@@ -2,15 +2,11 @@
 //!
 //! §4: "An embedded OLAP system can monitor resource usage of all other
 //! running applications and then tweak its run-time behavior accordingly."
-//! Portable, in-process observation of an arbitrary host application is
-//! platform-specific; this reproduction substitutes a *simulated*
-//! application whose RAM/CPU trace is scripted (DESIGN.md, substitution
-//! F1) — the controller and engine react to the trait, so a real probe can
-//! be dropped in without touching them.
-
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+//! Observation is platform-specific, so the engine reacts to the
+//! [`ResourceMonitor`] trait: the `/proc`-based
+//! [`HostResourceProbe`](crate::hostprobe::HostResourceProbe) implements
+//! it on Linux, and the paper regenerators in `crates/bench` implement it
+//! with a scripted application trace (DESIGN.md, substitution F1).
 
 /// A point-in-time picture of the application's resource consumption.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,83 +40,6 @@ impl ResourceMonitor for StaticMonitor {
     }
 }
 
-/// One phase of a scripted application trace.
-#[derive(Debug, Clone, Copy)]
-pub struct TracePhase {
-    /// How many `step()`s this phase lasts.
-    pub steps: usize,
-    pub memory_bytes: usize,
-    pub cpu: f64,
-}
-
-/// The scripted "dashboard application" of Figure 1: bursty RAM and CPU
-/// usage that the DBMS must react to. `step()` advances the trace;
-/// sampling is thread-safe so the DBMS can observe from worker threads.
-pub struct SimulatedApplication {
-    phases: Vec<TracePhase>,
-    position: AtomicUsize,
-    current: Mutex<ResourceUsage>,
-}
-
-impl SimulatedApplication {
-    pub fn new(phases: Vec<TracePhase>) -> Arc<Self> {
-        assert!(!phases.is_empty(), "trace needs at least one phase");
-        let first =
-            ResourceUsage { app_memory_bytes: phases[0].memory_bytes, app_cpu: phases[0].cpu };
-        Arc::new(SimulatedApplication {
-            phases,
-            position: AtomicUsize::new(0),
-            current: Mutex::new(first),
-        })
-    }
-
-    /// The Figure 1 trace: idle, then a steadily climbing RAM ramp, then a
-    /// burst plateau, then release.
-    pub fn figure1_trace(total_budget: usize) -> Arc<Self> {
-        let gb = |f: f64| (total_budget as f64 * f) as usize;
-        let mut phases = vec![TracePhase { steps: 10, memory_bytes: gb(0.10), cpu: 0.1 }];
-        // Ramp 10% -> 80% in 3.5% increments.
-        let mut frac = 0.10;
-        while frac < 0.80 {
-            phases.push(TracePhase { steps: 2, memory_bytes: gb(frac), cpu: 0.2 });
-            frac += 0.035;
-        }
-        phases.push(TracePhase { steps: 20, memory_bytes: gb(0.85), cpu: 0.6 });
-        phases.push(TracePhase { steps: 10, memory_bytes: gb(0.45), cpu: 0.3 });
-        phases.push(TracePhase { steps: 15, memory_bytes: gb(0.10), cpu: 0.1 });
-        Self::new(phases)
-    }
-
-    /// Advance the trace one step; returns `false` once the trace is over
-    /// (usage then stays at the final phase's level).
-    pub fn step(&self) -> bool {
-        let pos = self.position.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut acc = 0usize;
-        for phase in &self.phases {
-            acc += phase.steps;
-            if pos < acc {
-                *self.current.lock() =
-                    ResourceUsage { app_memory_bytes: phase.memory_bytes, app_cpu: phase.cpu };
-                return true;
-            }
-        }
-        let last = self.phases.last().expect("non-empty");
-        *self.current.lock() =
-            ResourceUsage { app_memory_bytes: last.memory_bytes, app_cpu: last.cpu };
-        false
-    }
-
-    pub fn total_steps(&self) -> usize {
-        self.phases.iter().map(|p| p.steps).sum()
-    }
-}
-
-impl ResourceMonitor for SimulatedApplication {
-    fn sample(&self) -> ResourceUsage {
-        *self.current.lock()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,37 +49,5 @@ mod tests {
         let m = StaticMonitor::new(1024, 0.5);
         assert_eq!(m.sample().app_memory_bytes, 1024);
         assert_eq!(m.sample().app_cpu, 0.5);
-    }
-
-    #[test]
-    fn trace_advances_through_phases() {
-        let app = SimulatedApplication::new(vec![
-            TracePhase { steps: 2, memory_bytes: 100, cpu: 0.1 },
-            TracePhase { steps: 2, memory_bytes: 900, cpu: 0.9 },
-        ]);
-        assert_eq!(app.sample().app_memory_bytes, 100);
-        app.step();
-        assert_eq!(app.sample().app_memory_bytes, 100);
-        app.step();
-        assert_eq!(app.sample().app_memory_bytes, 900);
-        app.step();
-        assert!(!app.step(), "trace exhausted");
-        assert_eq!(app.sample().app_memory_bytes, 900);
-    }
-
-    #[test]
-    fn figure1_trace_ramps_up_and_down() {
-        let app = SimulatedApplication::figure1_trace(1_000_000);
-        let mut peak = 0;
-        loop {
-            peak = peak.max(app.sample().app_memory_bytes);
-            if !app.step() {
-                break;
-            }
-        }
-        let last = app.sample().app_memory_bytes;
-        assert!(peak >= 800_000, "trace must burst above 80%: {peak}");
-        assert!(last <= 200_000, "trace must release at the end: {last}");
-        assert!(app.total_steps() > 40);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! §4: "There are plenty of run-time choices in a DBMS that influence the
 //! resource consumption across the different hardware devices." The policy
-//! object is the channel: the controller (or the user, via PRAGMAs) writes
+//! object is the channel: the host probe (or the user, via PRAGMAs) writes
 //! it; operators read it at plan and run time.
 
 use crate::compression::CompressionLevel;
@@ -42,6 +42,60 @@ pub fn choose_join_strategy(build_bytes_estimate: usize, available_memory: usize
 pub fn clamp_worker_threads(requested: usize, app_cpu_load: f64) -> usize {
     let free = (1.0 - app_cpu_load.clamp(0.0, 1.0)) * requested as f64;
     (free.floor() as usize).clamp(1, requested.max(1))
+}
+
+/// Memory-axis cooperation against a *real* host (§4): shrink the
+/// configured DBMS memory limit while the rest of the machine is under
+/// memory pressure, never below a 1/20 floor of the configured limit.
+///
+/// `host_total` and `host_other_used` come from the `/proc` probe
+/// (`HostResourceProbe::sample_host_memory`): total machine RAM and the
+/// bytes everything *except* this process currently uses. The effective
+/// limit is the configured one capped by what the machine actually has
+/// left — an embedded DBMS takes the memory the host application is not
+/// using, it does not hold a budget the machine cannot back.
+///
+/// ```
+/// use eider_coop::policy::effective_memory_limit;
+/// // Plenty free: the configured limit stands.
+/// assert_eq!(effective_memory_limit(1 << 30, 16 << 30, 4 << 30), 1 << 30);
+/// // The host is squeezed: only what is left, down to the floor.
+/// assert_eq!(effective_memory_limit(1 << 30, 16 << 30, (16u64 << 30) as usize - (1 << 28)),
+///            1 << 28);
+/// assert_eq!(effective_memory_limit(1 << 30, 16 << 30, 16 << 30), (1 << 30) / 20);
+/// ```
+pub fn effective_memory_limit(
+    configured: usize,
+    host_total: usize,
+    host_other_used: usize,
+) -> usize {
+    if host_total == 0 {
+        return configured; // no measurement: the configured limit stands
+    }
+    let free_for_dbms = host_total.saturating_sub(host_other_used);
+    let floor = (configured / 20).max(1);
+    configured.min(free_for_dbms).max(floor)
+}
+
+/// Fair per-session slice of the DBMS memory budget when the host-probe
+/// feedback loop is on: the effective limit divided evenly across the
+/// sessions participating in rebalancing, floored at a 1/20 slice of the
+/// limit so a burst of connections cannot shrink anyone's quota to
+/// nothing. (With the probe off, sessions are not rebalanced at all —
+/// each may use the whole limit, and the account chain alone prevents a
+/// combined overshoot.)
+///
+/// ```
+/// use eider_coop::policy::fair_session_share;
+/// assert_eq!(fair_session_share(1 << 20, 4), 1 << 18);
+/// assert_eq!(fair_session_share(1 << 20, 1), 1 << 20);
+/// // The floor: 40 sessions do not get 1/40 slices.
+/// assert_eq!(fair_session_share(1 << 20, 40), (1 << 20) / 20);
+/// assert_eq!(fair_session_share(1 << 20, 0), 1 << 20);
+/// ```
+pub fn fair_session_share(effective_limit: usize, sessions: usize) -> usize {
+    let floor = (effective_limit / 20).max(1);
+    (effective_limit / sessions.max(1)).max(floor)
 }
 
 /// Shared mutable runtime policy (lock-free reads on the hot path).
@@ -119,6 +173,24 @@ impl ResourcePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn effective_limit_tracks_host_pressure() {
+        let gib = 1usize << 30;
+        // Unconstrained host: configured limit untouched.
+        assert_eq!(effective_memory_limit(gib, 16 * gib, 2 * gib), gib);
+        // Exactly enough left: still the full limit.
+        assert_eq!(effective_memory_limit(gib, 16 * gib, 15 * gib), gib);
+        // Less left than configured: the limit shrinks to what exists.
+        assert_eq!(effective_memory_limit(gib, 16 * gib, 15 * gib + gib / 2), gib / 2);
+        // Host fully committed (or over-committed): the 1/20 floor holds.
+        assert_eq!(effective_memory_limit(gib, 16 * gib, 16 * gib), gib / 20);
+        assert_eq!(effective_memory_limit(gib, 16 * gib, 20 * gib), gib / 20);
+        // No measurement: pass through.
+        assert_eq!(effective_memory_limit(gib, 0, 123), gib);
+        // Tiny configured limits keep a non-zero floor.
+        assert_eq!(effective_memory_limit(10, 100, 100), 1);
+    }
 
     #[test]
     fn join_strategy_crossover() {

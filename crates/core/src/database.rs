@@ -266,8 +266,7 @@ impl Database {
         if auto.is_empty() {
             return;
         }
-        let share =
-            eider_coop::controller::fair_session_share(self.buffers.memory_limit(), auto.len());
+        let share = eider_coop::policy::fair_session_share(self.buffers.memory_limit(), auto.len());
         for session in auto {
             session.buffers.set_memory_limit(share);
         }
@@ -297,12 +296,12 @@ impl Database {
     /// load into [`ResourcePolicy::set_app_cpu_load`] **and** shrink the
     /// effective memory limit while the rest of the machine is under
     /// memory pressure
-    /// ([`effective_memory_limit`](eider_coop::controller::effective_memory_limit)
+    /// ([`effective_memory_limit`](eider_coop::policy::effective_memory_limit)
     /// over the probe's `sample_host_memory`; the limit recovers — up to
     /// the configured `PRAGMA memory_limit` — as the host frees memory).
-    /// With the probe off (the default), whatever a simulated-application
-    /// driver ([`eider_coop::monitor::SimulatedApplication`]) last pushed
-    /// stays authoritative.
+    /// With the probe off (the default), whatever the host last pushed
+    /// through [`ResourcePolicy::set_app_cpu_load`] stays authoritative
+    /// (the scripted application of `crates/bench` drives it that way).
     pub fn refresh_host_load(&self) {
         if !self.config.lock().host_probe {
             return;
@@ -325,7 +324,7 @@ impl Database {
     pub fn apply_host_memory(&self, host_total: usize, host_other_used: usize) {
         let configured = self.config.lock().memory_limit;
         let effective =
-            eider_coop::controller::effective_memory_limit(configured, host_total, host_other_used);
+            eider_coop::policy::effective_memory_limit(configured, host_total, host_other_used);
         self.buffers.set_memory_limit(effective);
         self.policy.set_memory_limit(effective);
         // The shrunken (or recovered) global limit re-divides across

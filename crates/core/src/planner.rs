@@ -43,8 +43,8 @@ use eider_coop::policy::{choose_join_strategy, JoinStrategy};
 use eider_etl::{SourcePartition, TableSource};
 use eider_exec::ops::join::JoinType;
 use eider_exec::ops::{
-    CrossProductOp, DeleteOp, DistinctOp, ExternalSortOp, FilterOp, HashAggregateOp, HashJoinOp,
-    InsertOp, LimitOp, MergeJoinOp, NestedLoopJoinOp, OperatorBox, PhysicalOperator, ProjectionOp,
+    CrossProductOp, DeleteOp, ExternalSortOp, FilterOp, HashAggregateOp, HashJoinOp, InsertOp,
+    LimitOp, MergeJoinOp, NestedLoopJoinOp, OperatorBox, PhysicalOperator, ProjectionOp,
     SimpleAggregateOp, SourceScanOp, TableScanOp, UpdateOp, ValuesOp,
 };
 use eider_exec::parallel::graph::{
@@ -162,6 +162,14 @@ fn estimate_build_bytes(plan: &LogicalPlan) -> usize {
     estimate_rows(plan).saturating_mul(width.saturating_add(16)) as usize
 }
 
+/// DISTINCT is GROUP BY every input column with no aggregates, serial and
+/// parallel alike. The groups are column references over the input's
+/// output columns (identical to the chain/queue chunk layout).
+fn distinct_groups(input: &LogicalPlan) -> Vec<Expr> {
+    let types = input.output_types();
+    types.iter().enumerate().map(|(i, &ty)| Expr::column(i, ty)).collect()
+}
+
 /// §4: the build side's estimated footprint against currently available
 /// memory decides hash vs out-of-core merge join. Left/semi/anti joins
 /// are hash-only.
@@ -252,34 +260,30 @@ fn lower_node(
             Box::new(ExternalSortOp::new(child, keys.clone(), budget, Some(ctx.buffers()), false))
         }
         LogicalPlan::Limit { input, limit, offset } => {
-            // ORDER BY + LIMIT fuses into Top-N — when the bounded buffer
-            // fits. The serial Top-N keeps `limit + offset` rows resident
-            // and charges them to the session account (it has no spill
-            // path), so an estimate too big for a quarter of the budget
-            // takes the spilling external-sort + LIMIT route instead of
-            // failing under memory pressure.
+            // ORDER BY + LIMIT fuses into Top-N: its candidate buffer
+            // charges the session account and spills when refused, so no
+            // size estimate gates it.
             if let LogicalPlan::Sort { input: sort_input, keys } = &**input {
-                if *limit != usize::MAX && limit.saturating_add(*offset) <= 1_000_000 {
-                    let rows = limit.saturating_add(*offset) as u64;
-                    let width = ((keys.len() + sort_input.output_types().len()).max(1) as u64)
-                        .saturating_mul(16);
-                    let estimated = rows.saturating_mul(width) as usize;
-                    if estimated <= ctx.budget() / 4 {
-                        return Ok(Box::new(ExternalSortOp::top_n(
-                            drain(sort_input)?,
-                            keys.clone(),
-                            *limit,
-                            *offset,
-                            Some(ctx.buffers()),
-                        )));
-                    }
+                if *limit != usize::MAX {
+                    return Ok(Box::new(ExternalSortOp::top_n(
+                        drain(sort_input)?,
+                        keys.clone(),
+                        *limit,
+                        *offset,
+                        Some(ctx.buffers()),
+                    )));
                 }
             }
             // A plain LIMIT stops pulling early; a morsel fan-out of the
             // streaming chain below it would scan on regardless.
             Box::new(LimitOp::new(lower_node(ctx, txn, input, threads, true)?, *limit, *offset))
         }
-        LogicalPlan::Distinct { input } => Box::new(DistinctOp::new(lower(input)?)),
+        LogicalPlan::Distinct { input } => Box::new(HashAggregateOp::new(
+            lower(input)?,
+            distinct_groups(input),
+            Vec::new(),
+            Some(ctx.buffers()),
+        )),
         LogicalPlan::Join { left, right, join_type, left_keys, right_keys } => {
             let (lchild, rchild) = (lower(left)?, drain(right)?);
             match join_strategy(ctx, right, *join_type) {
@@ -680,18 +684,10 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
                     PipelineSink::Sort { keys: keys.clone(), limit: Some((*limit, *offset)) },
                 )
             }
-            LogicalPlan::Distinct { input } => {
-                // DISTINCT = GROUP BY every column, no aggregates. Groups
-                // are column references over the input's output columns
-                // (identical to the chain/queue chunk layout).
-                let groups: Vec<Expr> = input
-                    .output_types()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &ty)| Expr::column(i, ty))
-                    .collect();
-                (input, PipelineSink::HashAggregate { groups, aggs: Vec::new() })
-            }
+            LogicalPlan::Distinct { input } => (
+                input,
+                PipelineSink::HashAggregate { groups: distinct_groups(input), aggs: Vec::new() },
+            ),
             _ => return None,
         };
         // A sink directly above a UNION ALL consumes the arms through a

@@ -496,11 +496,6 @@ impl ArrowFileSource {
     pub fn path(&self) -> &Path {
         &self.inner.path
     }
-
-    /// Number of record batches (= partitions) in the file.
-    pub fn batch_count(&self) -> usize {
-        self.inner.batches.len()
-    }
 }
 
 impl ArrowInner {

@@ -6,13 +6,13 @@
 //! rare combinations fall back to value-at-a-time evaluation. This is the
 //! architectural answer to §2's requirement that "only a comparably low
 //! amount of CPU cycles per value can be spent": interpretation overhead is
-//! paid once per 2048-row vector, not once per value (the `olap` benchmark
-//! measures the difference against the row-at-a-time baseline).
+//! paid once per 2048-row vector, not once per value (the `section2`
+//! regenerator measures the difference against the row-at-a-time baseline).
 //!
 //! Expressions also evaluate row-wise ([`Expr::evaluate_row`]) for the
-//! optimizer's constant folding and for the baseline engine.
+//! optimizer's constant folding and for the §2 baseline engine in
+//! `crates/bench`.
 
-use crate::fxhash::fxhash;
 use eider_txn::CmpOp;
 use eider_vector::{
     DataChunk, EiderError, LogicalType, Result, SelectionVector, Value, Vector, VectorData,
@@ -508,11 +508,6 @@ impl Expr {
                 Ok(if saw_null { Value::Null } else { Value::Boolean(*negated) })
             }
         }
-    }
-
-    /// A stable hash of the expression shape (used for plan diagnostics).
-    pub fn shape_hash(&self) -> u64 {
-        fxhash(&format!("{self:?}"))
     }
 }
 

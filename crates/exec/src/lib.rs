@@ -15,15 +15,15 @@
 //! Modules:
 //! * [`expression`] — vectorized expression kernels (with typed fast paths,
 //!   the "low amount of CPU cycles per value" §2 demands) plus row-wise
-//!   evaluation reused by the optimizer's constant folding and the
-//!   baseline engine;
+//!   evaluation reused by the optimizer's constant folding;
 //! * [`aggregate`] — aggregate function states (COUNT/SUM/AVG/MIN/MAX/
 //!   STDDEV/VAR);
 //! * [`collection`] — materialized chunk collections with optional
 //!   intermediate compression (Figure 1) and memory accounting;
 //! * [`ops`] — the operators: scan, filter, project, hash join, out-of-core
 //!   merge join, nested-loop join, cross product, hash/simple aggregate,
-//!   external sort, top-n, limit, distinct, insert/update/delete;
+//!   external sort, top-n, limit, insert/update/delete (DISTINCT is a
+//!   hash aggregate with no aggregates);
 //! * [`parallel`] — the morsel-driven parallel executor: a scan is sliced
 //!   into row-range morsels dispensed to worker threads, each running the
 //!   serial operators above, with explicit merge/finalize steps for
@@ -31,9 +31,10 @@
 //! * [`rowkey`] — normalized row-format key encoding (NULL sentinel,
 //!   order-preserving bytes) plus the arena-backed [`rowkey::KeyedTable`]
 //!   behind grouped aggregation; [`fxhash`] holds the matching vectorized
-//!   hash kernels;
-//! * [`row_engine`] — a classical tuple-at-a-time Volcano interpreter, the
-//!   baseline the OLAP benchmark compares against (§2/§6: why vectorized).
+//!   hash kernels.
+//!
+//! The tuple-at-a-time Volcano baseline that §2's regenerator compares
+//! against lives in `crates/bench`, outside the engine.
 
 pub mod aggregate;
 pub mod collection;
@@ -41,7 +42,6 @@ pub mod expression;
 pub mod fxhash;
 pub mod ops;
 pub mod parallel;
-pub mod row_engine;
 pub mod rowkey;
 
 pub use expression::Expr;

@@ -442,6 +442,19 @@ mod tests {
         Box::new(ValuesOp::new(vec![LogicalType::Integer, LogicalType::Integer], vec![chunk]))
     }
 
+    /// DISTINCT lowers to a hash aggregate grouping on every column with
+    /// no aggregates; it keeps first-seen order.
+    #[test]
+    fn distinct_removes_duplicates() {
+        let rows: Vec<Vec<Value>> = (0..9).map(|i| vec![Value::Integer(i % 3)]).collect();
+        let chunk = DataChunk::from_rows(&[LogicalType::Integer], &rows).unwrap();
+        let src = Box::new(ValuesOp::new(vec![LogicalType::Integer], vec![chunk]));
+        let groups = vec![Expr::column(0, LogicalType::Integer)];
+        let mut op = HashAggregateOp::new(src, groups, Vec::new(), None);
+        let rows = drain_rows(&mut op).unwrap();
+        assert_eq!(rows, [0, 1, 2].map(|i| vec![Value::Integer(i)]));
+    }
+
     #[test]
     fn simple_aggregate_all_functions() {
         let aggs = vec![

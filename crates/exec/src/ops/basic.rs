@@ -1,10 +1,8 @@
-//! Streaming operators: values source, filter, projection, limit, distinct.
+//! Streaming operators: values source, filter, projection, limit.
 
 use crate::expression::{filter_selection, Expr};
-use crate::fxhash::FxBuildHasher;
 use crate::ops::{OperatorBox, PhysicalOperator};
 use eider_vector::{DataChunk, LogicalType, Result, Value, Vector};
-use std::collections::HashSet;
 
 /// Produces a fixed list of chunks (VALUES clauses, function results).
 pub struct ValuesOp {
@@ -175,40 +173,6 @@ impl PhysicalOperator for LimitOp {
     }
 }
 
-/// DISTINCT over full rows (hash-based).
-pub struct DistinctOp {
-    child: OperatorBox,
-    seen: HashSet<Vec<Value>, FxBuildHasher>,
-}
-
-impl DistinctOp {
-    pub fn new(child: OperatorBox) -> Self {
-        DistinctOp { child, seen: HashSet::default() }
-    }
-}
-
-impl PhysicalOperator for DistinctOp {
-    fn output_types(&self) -> Vec<LogicalType> {
-        self.child.output_types()
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
-        while let Some(chunk) = self.child.next_chunk()? {
-            let mut out = DataChunk::new(&chunk.types());
-            for row in 0..chunk.len() {
-                let vals = chunk.row_values(row);
-                if self.seen.insert(vals.clone()) {
-                    out.append_row(&vals)?;
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,16 +230,6 @@ mod tests {
         // Zero limit.
         let mut op = LimitOp::new(source(3), 0, 0);
         assert!(drain_rows(&mut op).unwrap().is_empty());
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let rows: Vec<Vec<Value>> = (0..9).map(|i| vec![Value::Integer(i % 3)]).collect();
-        let chunk = DataChunk::from_rows(&[LogicalType::Integer], &rows).unwrap();
-        let src = Box::new(ValuesOp::new(vec![LogicalType::Integer], vec![chunk]));
-        let mut op = DistinctOp::new(src);
-        let rows = drain_rows(&mut op).unwrap();
-        assert_eq!(rows.len(), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod scan;
 pub mod sort;
 
 pub use agg::{AggExpr, HashAggregateOp, SimpleAggregateOp};
-pub use basic::{DistinctOp, FilterOp, LimitOp, ProjectionOp, ValuesOp};
+pub use basic::{FilterOp, LimitOp, ProjectionOp, ValuesOp};
 pub use join::{BuildSide, CrossProductOp, HashJoinOp, JoinType, NestedLoopJoinOp};
 pub use merge_join::MergeJoinOp;
 pub use modify::{DeleteOp, InsertOp, UpdateOp};

@@ -243,8 +243,6 @@ pub struct SortSink {
     /// Full sort: buffered bytes at which the run spills.
     budget: usize,
     reservation: Option<MemoryReservation>,
-    /// Top-N: a refused grow spills the candidates instead of failing.
-    spill_on_refusal: bool,
     spills: Vec<SpillReader>,
 }
 
@@ -262,7 +260,6 @@ impl SortSink {
             boundary: Vec::new(),
             budget: usize::MAX,
             reservation: None,
-            spill_on_refusal: false,
             spills: Vec::new(),
         }
     }
@@ -278,16 +275,10 @@ impl SortSink {
     }
 
     /// Top-N: keep a reservation on `buffers` equal to the buffered bytes.
-    /// A refused grow spills the candidates and releases their charge when
-    /// `spill_on_refusal` (so the parallel Top-N needs no row-count cap),
-    /// and surfaces as out-of-memory otherwise.
-    pub(crate) fn with_charge(
-        mut self,
-        buffers: Option<&Arc<BufferManager>>,
-        spill_on_refusal: bool,
-    ) -> Result<Self> {
+    /// A refused grow spills the candidates and releases their charge, so
+    /// no Top-N needs a row-count cap.
+    pub(crate) fn with_charge(mut self, buffers: Option<&Arc<BufferManager>>) -> Result<Self> {
         self.reservation = buffers.map(|b| b.reserve(0)).transpose()?;
-        self.spill_on_refusal = spill_on_refusal;
         Ok(self)
     }
 
@@ -374,7 +365,6 @@ impl SortSink {
             return Ok(());
         }
         match res.grow(bytes - held) {
-            Err(e) if !self.spill_on_refusal => Err(e),
             Err(_) => {
                 self.spill()?;
                 let res = self.reservation.as_mut().expect("checked");
@@ -651,9 +641,8 @@ impl ExternalSortOp {
 
     /// Top-N: ORDER BY + LIMIT without a full sort — a [`SortSink`] bounded
     /// to `limit + offset` rows, its real footprint charged against
-    /// `buffers`. Unlike the parallel Top-N there is no spill fallback: a
-    /// refused grow surfaces as an out-of-memory error in the issuing
-    /// session's own quota.
+    /// `buffers`. A refused grow spills the candidates, as in the parallel
+    /// Top-N, and the merge reads them back.
     pub fn top_n(
         child: OperatorBox,
         keys: Vec<SortKey>,
@@ -679,8 +668,9 @@ impl ExternalSortOp {
         let child = self.child.take().expect("sort runs once");
         let (spec, buffers) = (Arc::clone(&self.spec), self.buffers.as_ref());
         let mut sink = match self.limit {
-            Some((limit, offset)) => SortSink::new(spec, Some(limit.saturating_add(offset)))
-                .with_charge(buffers, false)?,
+            Some((limit, offset)) => {
+                SortSink::new(spec, Some(limit.saturating_add(offset))).with_charge(buffers)?
+            }
             None => {
                 let want = buffers.map_or(self.budget, |b| self.budget.min(b.memory_limit()));
                 SortSink::new(spec, None).with_budget(buffers, want)
@@ -883,15 +873,16 @@ mod tests {
     }
 
     #[test]
-    fn topn_over_budget_errors_instead_of_silently_buffering() {
-        // 64 bytes cannot hold 100 buffered rows: the charge must surface
-        // as an out-of-memory error rather than an unaccounted allocation.
+    fn topn_over_budget_spills_instead_of_failing() {
+        // 64 bytes cannot hold 100 buffered rows: every refused grow
+        // spills the candidates, and the merge still returns the best 100.
         let mgr = test_buffers(64);
         let keys = vec![SortKey::asc(Expr::column(0, LogicalType::Integer))];
         let mut topn =
             ExternalSortOp::top_n(shuffled_source(1000), keys, 100, 0, Some(Arc::clone(&mgr)));
-        let err = drain_rows(&mut topn).unwrap_err();
-        assert!(err.to_string().contains("emory"), "unexpected error: {err}");
+        let rows = drain_rows(&mut topn).unwrap();
+        assert_eq!(first_col(&rows), (0..100).map(Value::Integer).collect::<Vec<_>>());
+        assert!(topn.spilled_runs() > 0, "the refused charge must spill");
         drop(topn);
         assert_eq!(mgr.used_memory(), 0);
     }

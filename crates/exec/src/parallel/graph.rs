@@ -447,10 +447,6 @@ impl PipelineGraph {
         self.outputs = outputs;
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of declared output nodes (the arms of the result edge).
     pub fn output_count(&self) -> usize {
         self.outputs.len()

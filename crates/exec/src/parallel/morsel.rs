@@ -128,15 +128,6 @@ impl MorselSource {
         Self::dispense(ScanBackend::Table { table, opts }, morsels)
     }
 
-    /// Default-sized morsels ([`MORSEL_ROWS`]).
-    pub fn with_default_morsels(
-        table: Arc<DataTable>,
-        txn: &Transaction,
-        opts: ScanOptions,
-    ) -> Self {
-        Self::new(table, txn, opts, MORSEL_ROWS)
-    }
-
     /// Build a dispenser over an external source's partitions (already
     /// pruned by the caller). Each partition becomes one morsel whose
     /// bounds carry the partition's source-defined units; `projection`

@@ -522,7 +522,7 @@ impl ParallelPipeline {
                 let spec = Arc::clone(ctx.sort.as_ref().expect("sort sink"));
                 let sink = SortSink::new(spec, ctx.sort_cap);
                 LocalState::Sort(if ctx.sort_cap.is_some() {
-                    sink.with_charge(self.buffers.as_ref(), true)?
+                    sink.with_charge(self.buffers.as_ref())?
                 } else {
                     let budgeted = self.buffers.as_ref().filter(|_| ctx.sort_budget != usize::MAX);
                     sink.with_budget(budgeted, ctx.sort_budget)

@@ -584,10 +584,6 @@ impl<T> KeyedTable<T> {
         &self.payloads
     }
 
-    pub fn payloads_mut(&mut self) -> &mut [T] {
-        &mut self.payloads
-    }
-
     /// Free the per-chunk encode/hash staging buffers. Call when the table
     /// becomes a parked partial awaiting a merge: merging never touches
     /// scratch, and the buffers otherwise dominate the footprint

@@ -77,11 +77,6 @@ impl FaultInjector {
         }
         out
     }
-
-    /// Flip one specific bit (targeted corruption for directed tests).
-    pub fn flip_bit(buf: &mut [u8], bit: usize) {
-        buf[bit / 8] ^= 1 << (bit % 8);
-    }
 }
 
 /// The kind of defect a [`SimulatedMemory`] cell can have.
@@ -165,10 +160,6 @@ impl SimulatedMemory {
             }
         }
         v
-    }
-
-    pub fn defect_count(&self) -> usize {
-        self.defects.len()
     }
 }
 

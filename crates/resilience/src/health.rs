@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// How aggressively integrity checks run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckingMode {
-    /// No faults observed: lightweight checks (quick memtest, checksums).
+    /// No faults observed: lightweight checks (quick memory test, checksums).
     Relaxed,
     /// At least one fault observed: full memory tests, verify-after-write.
     Paranoid,

@@ -363,19 +363,4 @@ impl LogicalPlan {
             _ => Vec::new(),
         }
     }
-
-    /// Is this a statement that only reads (safe in read-only txns)?
-    pub fn is_read_only(&self) -> bool {
-        !matches!(
-            self,
-            LogicalPlan::Insert { .. }
-                | LogicalPlan::Update { .. }
-                | LogicalPlan::Delete { .. }
-                | LogicalPlan::CreateTable { .. }
-                | LogicalPlan::DropTable { .. }
-                | LogicalPlan::CreateView { .. }
-                | LogicalPlan::DropView { .. }
-                | LogicalPlan::CopyFrom { .. }
-        )
-    }
 }

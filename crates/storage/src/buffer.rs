@@ -8,9 +8,8 @@
 //!
 //! §3's allocation-time memory test is not wired in: no operator takes
 //! its memory from here, so there is no allocation to test yet. The
-//! moving-inversions tester lives in [`eider_resilience::memtest`].
+//! moving-inversions tester is a paper demo in `crates/bench`.
 
-use eider_resilience::memtest::MemRegion;
 use eider_vector::{EiderError, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -210,22 +209,6 @@ impl Drop for MemoryReservation {
     }
 }
 
-/// Adapter: treat a byte slice as a word-addressable [`MemRegion`] (tail
-/// bytes that do not fill a word are not tested).
-pub struct ByteRegion<'a>(pub &'a mut [u8]);
-
-impl MemRegion for ByteRegion<'_> {
-    fn len_words(&self) -> usize {
-        self.0.len() / 8
-    }
-    fn read_word(&self, idx: usize) -> u64 {
-        u64::from_le_bytes(self.0[idx * 8..idx * 8 + 8].try_into().expect("8"))
-    }
-    fn write_word(&mut self, idx: usize, value: u64) {
-        self.0[idx * 8..idx * 8 + 8].copy_from_slice(&value.to_le_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,15 +359,5 @@ mod tests {
         assert_eq!(root.used_memory(), 50);
         drop(r);
         assert_eq!(root.used_memory(), 0);
-    }
-
-    #[test]
-    fn byte_region_round_trips_words() {
-        let mut bytes = vec![0u8; 20];
-        let mut region = ByteRegion(&mut bytes);
-        assert_eq!(region.len_words(), 2);
-        region.write_word(1, 0xDEADBEEF);
-        assert_eq!(region.read_word(1), 0xDEADBEEF);
-        assert_eq!(region.read_word(0), 0);
     }
 }

@@ -91,10 +91,6 @@ impl MetaBlockReader {
     pub fn reader(&self) -> BinReader<'_> {
         BinReader::new(&self.data)
     }
-
-    pub fn into_data(self) -> Vec<u8> {
-        self.data
-    }
 }
 
 #[cfg(test)]

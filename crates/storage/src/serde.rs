@@ -48,10 +48,6 @@ impl BinWriter {
         self.buf.push(u8::from(v));
     }
 
-    pub fn write_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn write_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -131,10 +127,6 @@ impl<'a> BinReader<'a> {
 
     pub fn read_bool(&mut self) -> Result<bool> {
         Ok(self.read_u8()? != 0)
-    }
-
-    pub fn read_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
     }
 
     pub fn read_u32(&mut self) -> Result<u32> {

@@ -94,10 +94,6 @@ pub struct SpillReader {
 }
 
 impl SpillReader {
-    pub fn remaining_chunks(&self) -> u64 {
-        self.remaining
-    }
-
     /// Read the next chunk, verifying its checksum; `None` at end.
     pub fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
         if self.remaining == 0 {

@@ -60,10 +60,6 @@ impl LogicalType {
         )
     }
 
-    pub fn is_temporal(self) -> bool {
-        matches!(self, LogicalType::Date | LogicalType::Timestamp)
-    }
-
     /// Width in bytes of one value in its physical representation.
     /// `VARCHAR` is variable; this returns the size of the inline handle.
     pub fn physical_width(self) -> usize {

@@ -143,11 +143,6 @@ impl ValidityMask {
         }
     }
 
-    /// Iterator over indexes of valid rows.
-    pub fn valid_indexes(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| self.is_valid(i))
-    }
-
     /// Truncate to `new_len` rows.
     pub fn truncate(&mut self, new_len: usize) {
         assert!(new_len <= self.len);

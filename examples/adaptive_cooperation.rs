@@ -8,8 +8,8 @@
 //! ```
 
 use eider::{Database, Result};
-use eider_coop::controller::{AdaptiveController, ControllerConfig};
-use eider_coop::monitor::{ResourceMonitor, SimulatedApplication};
+use eider_bench::controller::{AdaptiveController, ControllerConfig, SimulatedApplication};
+use eider_coop::monitor::ResourceMonitor;
 
 fn main() -> Result<()> {
     let total_budget: usize = 256 << 20; // RAM shared by app + DBMS

@@ -11,8 +11,8 @@
 //! ```
 
 use eider::{Database, Result};
+use eider_bench::protocol::{serialize_result, Bandwidth};
 use eider_bench::workload::Workload;
-use eider_client::protocol::{serialize_result, Bandwidth};
 use eider_client::Appender;
 use std::sync::Arc;
 

@@ -587,3 +587,89 @@ fn one_dag_per_statement_never_waits_on_its_own_lease() {
     }
     conn.execute("PRAGMA memory_limit = 1073741824").unwrap();
 }
+
+/// A fresh database holding one table `name (columns)` loaded with `rows`
+/// straight into storage (fast for the multi-row-group fixtures below).
+fn table_db(
+    name: &str,
+    columns: &str,
+    types: &[eider::LogicalType],
+    rows: &[Vec<Value>],
+) -> std::sync::Arc<eider::Database> {
+    let db = eider::Database::in_memory().unwrap();
+    db.connect().execute(&format!("CREATE TABLE {name} ({columns})")).unwrap();
+    let entry = db.catalog().get_table(name).unwrap();
+    let txn = std::sync::Arc::new(db.txn_manager().begin());
+    for batch in rows.chunks(2048) {
+        let chunk = eider::DataChunk::from_rows(types, batch).unwrap();
+        entry.data.append_chunk(&txn, &chunk).unwrap();
+    }
+    db.commit_transaction(std::sync::Arc::try_unwrap(txn).unwrap()).unwrap();
+    db
+}
+
+/// DISTINCT groups on normalized key bytes at every thread count: NaN and
+/// -NaN are one group, as are 0.0 and -0.0, and NULL is a group of its
+/// own. The serial path once deduplicated on `Value` equality, which keeps
+/// two NaN rows.
+#[test]
+fn distinct_is_identical_across_thread_counts_for_nan_zero_and_null() {
+    let cycle = [f64::NAN, -f64::NAN, 0.0, -0.0, 1.5, 1.5, 2.5]
+        .map(Value::Double)
+        .into_iter()
+        .chain([Value::Null])
+        .collect::<Vec<_>>();
+    let rows: Vec<Vec<Value>> =
+        (0..2 * ROW_GROUP + 6000).map(|i| vec![cycle[i % cycle.len()].clone()]).collect();
+    let db = table_db("n", "v DOUBLE", &[eider::LogicalType::Double], &rows);
+    let sql = "SELECT DISTINCT v FROM n";
+    // `Value::total_cmp` does not order NaN, so the rows of each thread
+    // count are compared as sorted Debug strings.
+    let distinct = |threads| {
+        let mut shown: Vec<String> =
+            rows_for(&db, sql, threads).iter().map(|r| format!("{r:?}")).collect();
+        shown.sort();
+        shown
+    };
+    let serial = rows_for(&db, sql, 1);
+    let nans = serial.iter().filter(|r| matches!(r[0], Value::Double(x) if x.is_nan())).count();
+    assert_eq!(nans, 1, "NaN and -NaN are one group: {serial:?}");
+    let zeros = serial.iter().filter(|r| matches!(r[0], Value::Double(x) if x == 0.0)).count();
+    assert_eq!(zeros, 1, "0.0 and -0.0 are one group: {serial:?}");
+    assert_eq!(serial.len(), 5, "{serial:?}");
+    let expected = distinct(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(distinct(threads), expected, "threads={threads}");
+    }
+}
+
+/// ORDER BY + LIMIT always fuses into Top-N, and a Top-N whose candidates
+/// outgrow the memory limit spills them at every thread count. The serial
+/// Top-N once failed with out-of-memory here, behind a planner gate that
+/// sized rows at 16 bytes a column.
+#[test]
+fn topn_over_wide_rows_spills_under_a_tight_limit_at_every_thread_count() {
+    let rows: Vec<Vec<Value>> = (0..20_000)
+        .map(|i| {
+            let k = (i * 7919) % 20_000;
+            vec![Value::Integer(k), Value::Varchar(format!("{k:0>2000}"))]
+        })
+        .collect();
+    let types = [eider::LogicalType::Integer, eider::LogicalType::Varchar];
+    let db = table_db("w", "k INTEGER, s VARCHAR", &types, &rows);
+    let sql = "SELECT count(*), min(k), max(length(s)) FROM \
+               (SELECT k, s FROM w ORDER BY k LIMIT 3000) x";
+    let conn = db.connect();
+    conn.execute("PRAGMA memory_limit = 2000000").unwrap();
+    for threads in [1, 2, 4, 8] {
+        conn.execute(&format!("PRAGMA threads = {threads}")).unwrap();
+        let got = conn.query(sql).unwrap().to_rows();
+        assert_eq!(
+            got,
+            vec![vec![Value::BigInt(3000), Value::Integer(0), Value::BigInt(2000)]],
+            "threads={threads}"
+        );
+        assert_eq!(db.buffers().used_memory(), 0, "threads={threads}: charge released");
+    }
+    conn.execute("PRAGMA memory_limit = 1073741824").unwrap();
+}
