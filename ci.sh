@@ -15,11 +15,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> paper claims: every regenerator in release with --check"
+echo "==> paper claims: every regenerator in release"
 # Each bin prints its numbers and exits non-zero when a reproduced
 # claim's direction fails (thresholds in each bin's doc comment).
 for bin in section2 section3 table1 figure1 section4 section5 dashboard_sim; do
-    cargo run --release -q -p eider-bench --bin "$bin" -- --check
+    cargo run --release -q -p eider-bench --bin "$bin"
 done
 
 # --no-fail-fast: a red test binary that sorts first must not hide a

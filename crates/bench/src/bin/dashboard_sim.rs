@@ -15,7 +15,7 @@
 //! performance gate: the measured reads-beside-writes workload is
 //! `dashboard_mixed` in `benchmarks/e2e`.
 //!
-//! `--check` fails unless both sides made progress and no reader saw a
+//! The run exits 1 unless both sides made progress and no reader saw a
 //! torn snapshot.
 
 use eider_bench::Claims;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let claims = Claims::from_args();
+    let claims = Claims::new();
     let rows = 200_000;
     let mut args = std::env::args().skip(1);
     let mut sessions: Option<usize> = None;
@@ -34,7 +34,6 @@ fn main() {
         match arg.as_str() {
             "--sessions" => sessions = args.next().and_then(|v| v.parse().ok()),
             "--iters" => iters = args.next().and_then(|v| v.parse().ok()).unwrap_or(iters),
-            "--check" => {}
             other => {
                 eprintln!("dashboard_sim: unknown argument {other}");
                 std::process::exit(1);

@@ -13,7 +13,7 @@
 //! application RAM, the DBMS intermediate footprint, the compression level
 //! and the CPU cost of the materialization — the four series of Figure 1.
 //!
-//! `--check` fails unless the footprint falls None > Light > Heavy, Heavy's
+//! The run exits 1 unless the footprint falls None > Light > Heavy, Heavy's
 //! build CPU exceeds twice that of None and Light, and the level follows
 //! the ramp None -> Light -> Heavy -> Light -> None. Light's CPU is not
 //! checked against None's: run-length encoding the build side costs about
@@ -28,7 +28,7 @@ use eider_exec::collection::ChunkCollection;
 use std::time::Instant;
 
 fn main() {
-    let mut claims = Claims::from_args();
+    let mut claims = Claims::new();
     let total_budget: usize = 512 << 20; // machine RAM shared by app + DBMS
     let app = SimulatedApplication::figure1_trace(total_budget);
     let mut controller = AdaptiveController::new(ControllerConfig::for_budget(total_budget));

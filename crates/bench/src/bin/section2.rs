@@ -8,7 +8,7 @@
 //!   chunk-granular and column-wise; the same wrangling done row-by-row
 //!   (OLTP style, one statement per row) is orders of magnitude slower.
 //!
-//! `--check` fails unless vectorized is at least 4x faster than the row
+//! The run exits 1 unless vectorized is at least 4x faster than the row
 //! engine and the bulk UPDATE at least 100x faster per row.
 
 use eider_bench::row_engine::{run_to_end, RowAggregate, RowFilter, RowSource};
@@ -22,7 +22,7 @@ use eider_vector::{LogicalType, Value};
 use std::time::Instant;
 
 fn main() {
-    let mut claims = Claims::from_args();
+    let mut claims = Claims::new();
     let rows = 2_000_000;
     println!("# E2a: vectorized vs tuple-at-a-time (SELECT count(*), sum(v) WHERE d <> -999)");
     let db = wrangling_db(rows, 0.25, 7).expect("db");

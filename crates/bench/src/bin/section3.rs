@@ -9,7 +9,7 @@
 //!   that naive write-read misses; the health monitor escalates after the
 //!   first fault (Table 1's recurrence argument).
 //!
-//! `--check` fails unless every injected block flip and every single-bit
+//! The run exits 1 unless every injected block flip and every single-bit
 //! flip of an AN-coded word is detected, and moving inversions finds all
 //! three injected defects while naive write-read finds fewer. The AN-code
 //! overhead is printed against the paper's band, not checked: it is a
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let mut claims = Claims::from_args();
+    let mut claims = Claims::new();
     println!("# E3a: block checksum detection of injected disk bit flips");
     let health = Arc::new(HealthMonitor::new());
     let mgr = InMemoryBlockManager::with_health(Arc::clone(&health));

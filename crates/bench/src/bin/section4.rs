@@ -2,7 +2,7 @@
 //! across memory budgets — the RAM/CPU trade-off the paper's example
 //! describes, including the crossover where the hash join stops fitting.
 //!
-//! `--check` fails unless the join the policy chooses returns the
+//! The run exits 1 unless the join the policy chooses returns the
 //! unconstrained row count at every budget, and the hash join beats the
 //! merge join at the largest budget.
 
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let mut claims = Claims::from_args();
+    let mut claims = Claims::new();
     let db = eider_bench::star_db(1_000_000, 50_000, 11).expect("db");
     let expected_rows = db
         .connect()

@@ -6,7 +6,7 @@
 //! * serialized protocol — row-major byte stream + simulated 1 Gbit/s wire
 //!   (what a client-server deployment must pay).
 //!
-//! `--check` fails unless zero-copy is at least 10x faster than the value
+//! The run exits 1 unless zero-copy is at least 10x faster than the value
 //! API, and the value API at least 2x faster than the protocol.
 
 use eider_bench::protocol::{deserialize_result, serialize_result, Bandwidth};
@@ -14,7 +14,7 @@ use eider_bench::Claims;
 use std::time::Instant;
 
 fn main() {
-    let mut claims = Claims::from_args();
+    let mut claims = Claims::new();
     let rows = 2_000_000;
     let db = eider_bench::star_db(rows, 10_000, 21).expect("db");
     let conn = db.connect();

@@ -12,14 +12,14 @@
 //! We simulate a fleet of consumer machines whose per-component hazard
 //! rates are calibrated to the paper's first column and whose hazard jumps
 //! after a first failure (latent defects). The simulated fleet must
-//! reproduce both columns (see DESIGN.md substitution T1). `--check` fails
+//! reproduce both columns (see DESIGN.md substitution T1). The run exits 1
 //! unless all six odds are within 10% of the paper's.
 
 use eider_bench::failure_model::{simulate_table1, ComponentKind, FailureModel};
 use eider_bench::Claims;
 
 fn main() {
-    let mut claims = Claims::from_args();
+    let mut claims = Claims::new();
     let machines = 2_000_000;
     println!("Table 1: 30-day OS crash probability ({machines} simulated machines)\n");
     println!(

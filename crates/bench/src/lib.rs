@@ -3,8 +3,8 @@
 //! Every table and figure of the paper has a regenerator binary here:
 //! `src/bin/table1.rs`, `src/bin/figure1.rs`, `src/bin/section2.rs` ..
 //! `src/bin/section5.rs` and `src/bin/dashboard_sim.rs`. Each prints its
-//! numbers and, with `--check`, exits non-zero when a claim's direction
-//! does not hold (see [`Claims`]).
+//! numbers and exits non-zero when a claim's direction does not hold
+//! (see [`Claims`]).
 //!
 //! The library holds what those binaries, the examples and the root
 //! integration tests share:
@@ -34,18 +34,17 @@ use std::sync::Arc;
 use workload::Workload;
 
 /// The direction checks of one regenerator run. Every claim prints a
-/// verdict line; with `--check` on the command line, [`Claims::finish`]
-/// exits non-zero if any claim failed, so CI catches a regression in a
-/// reproduced result and not only a crash.
+/// verdict line; [`Claims::finish`] exits non-zero if any claim failed,
+/// so CI catches a regression in a reproduced result and not only a crash.
+#[derive(Default)]
 pub struct Claims {
-    enforce: bool,
     failed: usize,
 }
 
 impl Claims {
-    /// Enforcing iff the binary was started with `--check`.
-    pub fn from_args() -> Self {
-        Claims { enforce: std::env::args().skip(1).any(|a| a == "--check"), failed: 0 }
+    /// No claims checked yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Record whether `claim` holds.
@@ -54,9 +53,9 @@ impl Claims {
         self.failed += usize::from(!holds);
     }
 
-    /// Report the verdict; under `--check`, exit 1 if a claim failed.
+    /// Report the verdict; exit 1 if a claim failed.
     pub fn finish(self) {
-        if self.failed > 0 && self.enforce {
+        if self.failed > 0 {
             eprintln!("{} paper claim(s) failed", self.failed);
             std::process::exit(1);
         }

@@ -347,15 +347,20 @@ impl PhysicalOperator for SimpleAggregateOp {
 /// byte equality of the normalized key encoding. Memory is accounted
 /// against the buffer manager as the table grows, charging the real
 /// arena/bucket/state footprint (§4's hard limits apply to aggregation
-/// state too).
+/// state too). Groups are emitted in first-seen order. With no aggregates
+/// (DISTINCT) a group is final once seen, so each pull reads input only
+/// until it has new groups: a LIMIT above stops the scan early.
 pub struct HashAggregateOp {
     child: OperatorBox,
     groups: Vec<Expr>,
     aggs: Vec<AggExpr>,
     buffers: Option<Arc<BufferManager>>,
     table: Option<GroupTable>,
+    reservation: Option<MemoryReservation>,
+    /// Bytes of `table` charged to `reservation`.
+    charged: usize,
+    drained: bool,
     emit_pos: usize,
-    _reservation: Option<MemoryReservation>,
 }
 
 impl HashAggregateOp {
@@ -371,31 +376,26 @@ impl HashAggregateOp {
             aggs,
             buffers,
             table: None,
+            reservation: None,
+            charged: 0,
+            drained: false,
             emit_pos: 0,
-            _reservation: None,
         }
     }
 
-    fn aggregate_phase(&mut self) -> Result<()> {
-        let mut table = GroupTable::new(&self.groups, &self.aggs);
-        let mut reservation = match &self.buffers {
-            Some(b) => Some(b.reserve(0)?),
-            None => None,
+    /// Pull one input chunk into the table and charge its growth.
+    fn pull(&mut self) -> Result<()> {
+        let Some(chunk) = self.child.next_chunk()? else {
+            self.drained = true;
+            return Ok(());
         };
-        let mut charged = 0usize;
-        while let Some(chunk) = self.child.next_chunk()? {
-            if chunk.is_empty() {
-                continue;
-            }
+        let table = self.table.as_mut().expect("started");
+        if !chunk.is_empty() {
             table.update_chunk(&self.groups, &self.aggs, &chunk)?;
-            // Periodic accounting of the real key-arena/bucket/state
-            // footprint.
-            if let Some(res) = &mut reservation {
-                table.charge_growth(res, &mut charged)?;
+            if let Some(res) = &mut self.reservation {
+                table.charge_growth(res, &mut self.charged)?;
             }
         }
-        self._reservation = reservation;
-        self.table = Some(table);
         Ok(())
     }
 }
@@ -409,14 +409,21 @@ impl PhysicalOperator for HashAggregateOp {
 
     fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
         if self.table.is_none() {
-            self.aggregate_phase()?;
+            self.reservation = self.buffers.as_ref().map(|b| b.reserve(0)).transpose()?;
+            self.table = Some(GroupTable::new(&self.groups, &self.aggs));
         }
-        let table = self.table.as_ref().expect("aggregated");
+        // An aggregate's groups are final only once its input is drained.
+        while !self.drained
+            && (!self.aggs.is_empty()
+                || self.emit_pos == self.table.as_ref().map_or(0, GroupTable::len))
+        {
+            self.pull()?;
+        }
+        let table = self.table.as_ref().expect("started");
         if self.emit_pos >= table.len() {
             return Ok(None);
         }
         let end = (self.emit_pos + VECTOR_SIZE).min(table.len());
-        // Serial emission streams groups in first-seen (insertion) order.
         let indices: Vec<u32> = (self.emit_pos as u32..end as u32).collect();
         self.emit_pos = end;
         Ok(Some(table.emit(&indices, &self.aggs)?))
@@ -453,6 +460,43 @@ mod tests {
         let mut op = HashAggregateOp::new(src, groups, Vec::new(), None);
         let rows = drain_rows(&mut op).unwrap();
         assert_eq!(rows, [0, 1, 2].map(|i| vec![Value::Integer(i)]));
+    }
+
+    /// Counts the chunks pulled from the operator it wraps.
+    struct CountPulls(OperatorBox, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl PhysicalOperator for CountPulls {
+        fn output_types(&self) -> Vec<LogicalType> {
+            self.0.output_types()
+        }
+
+        fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.next_chunk()
+        }
+    }
+
+    /// A DISTINCT emits each chunk's new groups before it pulls the next
+    /// chunk, so a LIMIT above it stops the scan early.
+    #[test]
+    fn distinct_streams_new_groups_as_they_arrive() {
+        let chunk = |r: std::ops::Range<i32>| {
+            let rows: Vec<Vec<Value>> = r.map(|i| vec![Value::Integer(i)]).collect();
+            DataChunk::from_rows(&[LogicalType::Integer], &rows).unwrap()
+        };
+        let chunks = vec![chunk(0..100), chunk(0..100), chunk(100..200)];
+        let pulls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let src = Box::new(ValuesOp::new(vec![LogicalType::Integer], chunks));
+        let src = Box::new(CountPulls(src, Arc::clone(&pulls)));
+        let groups = vec![Expr::column(0, LogicalType::Integer)];
+        let mut op = HashAggregateOp::new(src, groups, Vec::new(), None);
+        let pulled = || pulls.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(op.next_chunk().unwrap().unwrap().len(), 100);
+        assert_eq!(pulled(), 1);
+        // The repeated chunk holds no new group: the next pull goes on.
+        assert_eq!(op.next_chunk().unwrap().unwrap().len(), 100);
+        assert_eq!(pulled(), 3);
+        assert!(op.next_chunk().unwrap().is_none());
     }
 
     #[test]

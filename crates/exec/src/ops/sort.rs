@@ -238,8 +238,12 @@ pub struct SortSink {
     /// Top-N bound (`limit + offset`); `None` for a full sort.
     cap: Option<usize>,
     /// Top-N: key of the cap-th best row so far (empty before the first
-    /// compaction).
+    /// compaction or spill that finds `cap` rows).
     boundary: Vec<u8>,
+    /// Top-N: keys of the best (at most `cap`) spilled rows, so the
+    /// boundary tightens even when every spilled run is shorter than
+    /// `cap`. At most two runs' worth of keys, unaccounted like `sel`.
+    spilled_keys: Vec<Vec<u8>>,
     /// Full sort: buffered bytes at which the run spills.
     budget: usize,
     reservation: Option<MemoryReservation>,
@@ -258,6 +262,7 @@ impl SortSink {
             sel: Vec::new(),
             cap: cap.map(|c| c.max(1)),
             boundary: Vec::new(),
+            spilled_keys: Vec::new(),
             budget: usize::MAX,
             reservation: None,
             spills: Vec::new(),
@@ -377,12 +382,26 @@ impl SortSink {
 
     /// Sort the buffered run (a Top-N run: its best `cap` rows) and write
     /// it to a spill file as chunks of key columns, `seq`/`intra`/`row`
-    /// position columns and payload.
+    /// position columns and payload. A Top-N then tightens its boundary to
+    /// the cap-th best key spilled so far: later rows that cannot beat it
+    /// are never buffered, so a refused charge does not send the whole
+    /// input to disk.
     fn spill(&mut self) -> Result<()> {
         if self.buf.len() == 0 {
             return Ok(());
         }
         let run = self.take_buf().into_sorted(self.cap)?;
+        if let Some(cap) = self.cap {
+            self.spilled_keys.extend((0..run.len()).map(|r| run.key(r).to_vec()));
+            if self.spilled_keys.len() >= cap {
+                self.spilled_keys.select_nth_unstable(cap - 1);
+                self.spilled_keys.truncate(cap);
+                let kth = &self.spilled_keys[cap - 1];
+                if self.boundary.is_empty() || *kth < self.boundary {
+                    self.boundary.clone_from(kth);
+                }
+            }
+        }
         let mut file = SpillFile::create()?;
         for start in (0..run.len()).step_by(VECTOR_SIZE) {
             let rows = start..run.len().min(start + VECTOR_SIZE);
@@ -883,6 +902,27 @@ mod tests {
         let rows = drain_rows(&mut topn).unwrap();
         assert_eq!(first_col(&rows), (0..100).map(Value::Integer).collect::<Vec<_>>());
         assert!(topn.spilled_runs() > 0, "the refused charge must spill");
+        drop(topn);
+        assert_eq!(mgr.used_memory(), 0);
+    }
+
+    #[test]
+    fn topn_spills_stop_once_the_spilled_rows_fill_the_cap() {
+        // Ascending keys in 10-row chunks under a 64-byte limit: every chunk
+        // is refused and spilled, each run shorter than the cap. Once five
+        // runs hold the best 50 rows, no later row can beat them, so the
+        // other 195 chunks buffer nothing and nothing more goes to disk.
+        let mgr = test_buffers(64);
+        let types = [LogicalType::Integer, LogicalType::Varchar];
+        let rows: Vec<Vec<Value>> =
+            (0..2000).map(|i| vec![Value::Integer(i), Value::Varchar(format!("p{i}"))]).collect();
+        let chunks = rows.chunks(10).map(|c| DataChunk::from_rows(&types, c).unwrap()).collect();
+        let source = Box::new(ValuesOp::new(types.to_vec(), chunks));
+        let keys = vec![SortKey::asc(Expr::column(0, LogicalType::Integer))];
+        let mut topn = ExternalSortOp::top_n(source, keys, 50, 0, Some(Arc::clone(&mgr)));
+        let rows = drain_rows(&mut topn).unwrap();
+        assert_eq!(first_col(&rows), (0..50).map(Value::Integer).collect::<Vec<_>>());
+        assert_eq!(topn.spilled_runs(), 5);
         drop(topn);
         assert_eq!(mgr.used_memory(), 0);
     }

@@ -452,29 +452,40 @@ fn cooperation_clamp_reduces_fanout_not_results() {
 /// Rows in one row group of an engine table.
 const ROW_GROUP: usize = 60 * 2048;
 
+/// A fresh database holding one table `name (columns)` loaded with `rows`
+/// straight into storage, 2048 rows at a time (fast for the
+/// multi-row-group fixtures).
+fn table_db(
+    name: &str,
+    columns: &str,
+    types: &[eider::LogicalType],
+    rows: impl IntoIterator<Item = Vec<Value>>,
+) -> std::sync::Arc<eider::Database> {
+    let db = eider::Database::in_memory().unwrap();
+    db.connect().execute(&format!("CREATE TABLE {name} ({columns})")).unwrap();
+    let entry = db.catalog().get_table(name).unwrap();
+    let txn = std::sync::Arc::new(db.txn_manager().begin());
+    let mut rows = rows.into_iter().peekable();
+    while rows.peek().is_some() {
+        let batch: Vec<Vec<Value>> = rows.by_ref().take(2048).collect();
+        let chunk = eider::DataChunk::from_rows(types, &batch).unwrap();
+        entry.data.append_chunk(&txn, &chunk).unwrap();
+    }
+    db.commit_transaction(std::sync::Arc::try_unwrap(txn).unwrap()).unwrap();
+    db
+}
+
 /// `p (id, k, val)` over four row groups, the last one partial. `k`
 /// tracks `id`, except in row group 1, whose `k` range lies far above
 /// every other group's: a `k` range can prune the middle group while
 /// keeping its neighbours.
 fn multi_group_db() -> std::sync::Arc<eider::Database> {
-    let rows = 3 * ROW_GROUP + 20_000;
-    let db = eider::Database::in_memory().unwrap();
-    db.connect().execute("CREATE TABLE p (id INTEGER, k INTEGER, val INTEGER)").unwrap();
-    let entry = db.catalog().get_table("p").unwrap();
-    let txn = std::sync::Arc::new(db.txn_manager().begin());
+    let rows = (0..3 * ROW_GROUP + 20_000).map(|i| {
+        let k = if i / ROW_GROUP == 1 { 1_000_000 + i } else { i };
+        [i, k, i % 97].map(|x| Value::Integer(x as i32)).to_vec()
+    });
     let types = [eider::LogicalType::Integer; 3];
-    for base in (0..rows).step_by(2048) {
-        let batch: Vec<Vec<Value>> = (base..(base + 2048).min(rows))
-            .map(|i| {
-                let k = if i / ROW_GROUP == 1 { 1_000_000 + i } else { i };
-                [i, k, i % 97].map(|x| Value::Integer(x as i32)).to_vec()
-            })
-            .collect();
-        let chunk = eider::DataChunk::from_rows(&types, &batch).unwrap();
-        entry.data.append_chunk(&txn, &chunk).unwrap();
-    }
-    db.commit_transaction(std::sync::Arc::try_unwrap(txn).unwrap()).unwrap();
-    db
+    table_db("p", "id INTEGER, k INTEGER, val INTEGER", &types, rows)
 }
 
 /// Zone-map pruning drops whole row groups before morsels are carved. A
@@ -588,26 +599,6 @@ fn one_dag_per_statement_never_waits_on_its_own_lease() {
     conn.execute("PRAGMA memory_limit = 1073741824").unwrap();
 }
 
-/// A fresh database holding one table `name (columns)` loaded with `rows`
-/// straight into storage (fast for the multi-row-group fixtures below).
-fn table_db(
-    name: &str,
-    columns: &str,
-    types: &[eider::LogicalType],
-    rows: &[Vec<Value>],
-) -> std::sync::Arc<eider::Database> {
-    let db = eider::Database::in_memory().unwrap();
-    db.connect().execute(&format!("CREATE TABLE {name} ({columns})")).unwrap();
-    let entry = db.catalog().get_table(name).unwrap();
-    let txn = std::sync::Arc::new(db.txn_manager().begin());
-    for batch in rows.chunks(2048) {
-        let chunk = eider::DataChunk::from_rows(types, batch).unwrap();
-        entry.data.append_chunk(&txn, &chunk).unwrap();
-    }
-    db.commit_transaction(std::sync::Arc::try_unwrap(txn).unwrap()).unwrap();
-    db
-}
-
 /// DISTINCT groups on normalized key bytes at every thread count: NaN and
 /// -NaN are one group, as are 0.0 and -0.0, and NULL is a group of its
 /// own. The serial path once deduplicated on `Value` equality, which keeps
@@ -619,9 +610,8 @@ fn distinct_is_identical_across_thread_counts_for_nan_zero_and_null() {
         .into_iter()
         .chain([Value::Null])
         .collect::<Vec<_>>();
-    let rows: Vec<Vec<Value>> =
-        (0..2 * ROW_GROUP + 6000).map(|i| vec![cycle[i % cycle.len()].clone()]).collect();
-    let db = table_db("n", "v DOUBLE", &[eider::LogicalType::Double], &rows);
+    let rows = (0..2 * ROW_GROUP + 6000).map(|i| vec![cycle[i % cycle.len()].clone()]);
+    let db = table_db("n", "v DOUBLE", &[eider::LogicalType::Double], rows);
     let sql = "SELECT DISTINCT v FROM n";
     // `Value::total_cmp` does not order NaN, so the rows of each thread
     // count are compared as sorted Debug strings.
@@ -649,14 +639,12 @@ fn distinct_is_identical_across_thread_counts_for_nan_zero_and_null() {
 /// sized rows at 16 bytes a column.
 #[test]
 fn topn_over_wide_rows_spills_under_a_tight_limit_at_every_thread_count() {
-    let rows: Vec<Vec<Value>> = (0..20_000)
-        .map(|i| {
-            let k = (i * 7919) % 20_000;
-            vec![Value::Integer(k), Value::Varchar(format!("{k:0>2000}"))]
-        })
-        .collect();
+    let rows = (0..20_000).map(|i| {
+        let k = (i * 7919) % 20_000;
+        vec![Value::Integer(k), Value::Varchar(format!("{k:0>2000}"))]
+    });
     let types = [eider::LogicalType::Integer, eider::LogicalType::Varchar];
-    let db = table_db("w", "k INTEGER, s VARCHAR", &types, &rows);
+    let db = table_db("w", "k INTEGER, s VARCHAR", &types, rows);
     let sql = "SELECT count(*), min(k), max(length(s)) FROM \
                (SELECT k, s FROM w ORDER BY k LIMIT 3000) x";
     let conn = db.connect();
