@@ -58,10 +58,12 @@ cargo test --doc --workspace -q --no-fail-fast
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# --locked: an engine-crate dependency change must fail here instead of
+# quietly rewriting benchmarks/e2e/Cargo.lock.
 echo "==> benchmarks/e2e: unit tests"
-cargo test --offline -q --no-fail-fast --manifest-path benchmarks/e2e/Cargo.toml
+cargo test --offline --locked -q --no-fail-fast --manifest-path benchmarks/e2e/Cargo.toml
 
 echo "==> benchmarks/e2e: smoke pass (every workload and probe, answers checked)"
-cargo run --release --offline --quiet --manifest-path benchmarks/e2e/Cargo.toml -- --smoke
+cargo run --release --offline --locked --quiet --manifest-path benchmarks/e2e/Cargo.toml -- --smoke
 
 echo "CI gate passed."

@@ -5,10 +5,11 @@
 //! node's whole subtree with a **pipeline DAG**
 //! ([`eider_exec::parallel::graph`]); when the shape is not one the DAG
 //! recognizes, the node becomes its serial Vector Volcano operator over
-//! recursively lowered inputs. A DAG node is either a morsel-parallel
-//! pipeline (`scan → filter*/project*/probe* → sink`) or a
-//! serially-evaluated breaker input (a join build or probe side too small
-//! or irregular to split); breaker state — the shared immutable
+//! recursively lowered inputs. Every DAG node is a pipeline
+//! (`source → filter*/project*/probe* → sink`) over table morsels, a
+//! chunk queue, or a serial input lowered at one worker (a join build or
+//! probe side too small or irregular to split); breaker state — the
+//! shared immutable
 //! [`BuildSide`](eider_exec::ops::BuildSide), spilled sort runs, bounded
 //! [`ChunkQueue`] chunk streams — flows between nodes under the graph's
 //! readiness scheduler (independent nodes run concurrently). Recognized
@@ -43,14 +44,15 @@ use eider_coop::policy::{choose_join_strategy, JoinStrategy};
 use eider_etl::{SourcePartition, TableSource};
 use eider_exec::ops::join::JoinType;
 use eider_exec::ops::{
-    CrossProductOp, DeleteOp, ExternalSortOp, FilterOp, HashAggregateOp, HashJoinOp, InsertOp,
-    LimitOp, MergeJoinOp, NestedLoopJoinOp, OperatorBox, PhysicalOperator, ProjectionOp,
-    SimpleAggregateOp, SourceScanOp, TableScanOp, UpdateOp, ValuesOp,
+    CrossProductOp, ExternalSortOp, FilterOp, HashAggregateOp, HashJoinOp, LimitOp, MergeJoinOp,
+    NestedLoopJoinOp, OperatorBox, PhysicalOperator, ProjectionOp, SimpleAggregateOp, SourceScanOp,
+    TableScanOp, ValuesOp,
 };
 use eider_exec::parallel::graph::{
     fold_link_types, GraphLink, GraphNode, PipelineGraph, PipelineGraphOp,
 };
 use eider_exec::parallel::morsel::{slice_morsels, Morsel, MORSEL_ROWS};
+use eider_exec::parallel::queue::edge_bytes;
 use eider_exec::parallel::{ChunkQueue, MorselSource, PipelineSink, PipelineSource, PipelineStep};
 use eider_exec::Expr;
 use eider_sql::plan::LogicalPlan;
@@ -181,9 +183,10 @@ fn join_strategy(ctx: &PlanCtx<'_>, build: &LogicalPlan, join_type: JoinType) ->
     }
 }
 
-/// Lower a logical query plan (SELECT-shaped nodes plus INSERT/UPDATE/
-/// DELETE) to a physical operator tree — once per statement, with a
-/// fresh [`PlanCtx`].
+/// Lower a logical query plan to a physical operator tree — once per
+/// statement, with a fresh [`PlanCtx`]. DML never reaches it: the
+/// connection executes INSERT, UPDATE and DELETE itself and lowers only
+/// their inputs.
 pub fn lower(ctx: &PlanCtx<'_>, txn: &Arc<Transaction>, plan: &LogicalPlan) -> Result<OperatorBox> {
     // §4's loop: sample the real host before deciding the fan-out (no-op
     // unless `PRAGMA host_probe` enabled the /proc sampler).
@@ -328,18 +331,6 @@ fn lower_node(
             Box::new(ValuesOp::new(types.clone(), vec![chunk]))
         }
         LogicalPlan::SingleRow => Box::new(ValuesOp::single_row()),
-        LogicalPlan::Insert { entry, input } => {
-            Box::new(InsertOp::new(Arc::clone(entry), lower(input)?, Arc::clone(txn)))
-        }
-        LogicalPlan::Update { entry, input, columns } => Box::new(UpdateOp::new(
-            Arc::clone(entry),
-            lower(input)?,
-            Arc::clone(txn),
-            columns.clone(),
-        )),
-        LogicalPlan::Delete { entry, input } => {
-            Box::new(DeleteOp::new(Arc::clone(entry), lower(input)?, Arc::clone(txn)))
-        }
         other => {
             return Err(EiderError::Internal(format!(
                 "plan node is not executable by the physical planner: {other:?}"
@@ -411,9 +402,9 @@ struct ChainSpec {
 /// with it the merge order) is identical at any parallelism.
 const EXTERNAL_PARTITION_TARGET: usize = 16;
 
-impl ChainSpec {
-    fn base_types(&self) -> Vec<LogicalType> {
-        match &self.base {
+impl ChainBase {
+    fn types(&self) -> Vec<LogicalType> {
+        match self {
             ChainBase::Table { table, opts } => opts.output_types(table),
             ChainBase::External { source, projection, .. } => {
                 let types = source.column_types();
@@ -422,17 +413,13 @@ impl ChainSpec {
         }
     }
 
-    fn output_types(&self) -> Vec<LogicalType> {
-        fold_link_types(self.base_types(), &self.links)
-    }
-
     /// Slice the base into morsels, or `None` when it is too small to
     /// earn the dispatch cost (see [`plan_morsels`]). External sources
     /// partition to a fixed target with metadata-pruned partitions
     /// dropped up front; a partitioning error also yields `None` — the
     /// serial path will open the same source and surface it.
-    fn plan_chain_morsels(&self) -> Option<Vec<Morsel>> {
-        match &self.base {
+    fn morsels(&self) -> Option<Vec<Morsel>> {
+        match self {
             ChainBase::Table { table, opts } => plan_morsels(table, &opts.filters),
             ChainBase::External { source, filters, .. } => {
                 let mut parts = source.partitions(EXTERNAL_PARTITION_TARGET).ok()?;
@@ -456,10 +443,10 @@ impl ChainSpec {
     }
 
     /// Construct the dispenser (recording table read predicates on `txn`).
-    fn morsel_source(&self, txn: &Transaction, morsels: Vec<Morsel>) -> MorselSource {
-        match &self.base {
+    fn morsel_source(self, txn: &Transaction, morsels: Vec<Morsel>) -> MorselSource {
+        match self {
             ChainBase::Table { table, opts } => {
-                MorselSource::from_morsels(Arc::clone(table), txn, opts.clone(), morsels)
+                MorselSource::from_morsels(table, txn, opts, morsels)
             }
             ChainBase::External { source, projection, .. } => {
                 let parts = morsels
@@ -470,43 +457,52 @@ impl ChainSpec {
                         end: m.row_end as u64,
                     })
                     .collect();
-                MorselSource::external(Arc::clone(source), projection.clone(), parts)
+                MorselSource::external(source, projection, parts)
             }
         }
     }
 }
 
+impl ChainSpec {
+    fn output_types(&self) -> Vec<LogicalType> {
+        fold_link_types(self.base.types(), &self.links)
+    }
+}
+
+/// What a planned node's workers read.
+enum SourceSpec<'p> {
+    /// The morsels of a chain's base scan.
+    Scan(ChainBase, Vec<Morsel>),
+    /// An input that is not a splittable chain, lowered at one worker when
+    /// the graph materializes.
+    Serial(&'p LogicalPlan),
+    /// Chunk queue `n` (planner-indexed, constructed at materialization),
+    /// fed by the UNION ALL arms below a sink and consumed concurrently
+    /// with them.
+    Queue(usize),
+}
+
 /// A planned DAG node; materialized into a [`GraphNode`] only once the
 /// whole shape is validated (serial inputs lower at that point).
-enum NodeSpec<'p> {
-    Pipeline {
-        chain: ChainSpec,
-        morsels: Vec<Morsel>,
-        sink: PipelineSink,
-    },
-    SerialBuild {
-        plan: &'p LogicalPlan,
-        keys: Vec<Expr>,
-    },
-    SerialProbe {
-        plan: &'p LogicalPlan,
-        links: Vec<GraphLink>,
-    },
-    /// One UNION ALL arm streaming its chunks into chunk queue `queue` as
-    /// arm `arm` (queues are planner-indexed and constructed at
-    /// materialization).
-    QueueProducer {
-        chain: ChainSpec,
-        morsels: Vec<Morsel>,
-        queue: usize,
-        arm: usize,
-    },
-    /// The sink above the union, consuming queue `queue` morsel-parallel
-    /// and concurrently with its producers.
-    QueueConsumer {
-        queue: usize,
-        sink: PipelineSink,
-    },
+struct NodeSpec<'p> {
+    source: SourceSpec<'p>,
+    links: Vec<GraphLink>,
+    sink: PipelineSink,
+    /// The planner-indexed queue and arm a UNION ALL arm under a sink
+    /// feeds; the graph's outputs get the result queue when it runs.
+    out: Option<(usize, usize)>,
+}
+
+impl NodeSpec<'_> {
+    /// A pipeline over `chain`'s morsels.
+    fn scan(chain: ChainSpec, morsels: Vec<Morsel>, sink: PipelineSink) -> Self {
+        NodeSpec {
+            source: SourceSpec::Scan(chain.base, morsels),
+            links: chain.links,
+            sink,
+            out: None,
+        }
+    }
 }
 
 /// A planned chunk-queue edge: the chunk types flowing through it and how
@@ -560,8 +556,8 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
     /// row-id-emitting scans for UPDATE/DELETE — those stay serial or are
     /// handled by the caller). Join build sides become DAG nodes: a
     /// morsel-parallel build pipeline when the build side is itself a
-    /// chain over a large-enough table, a serially-evaluated build
-    /// otherwise (small dimension tables).
+    /// chain over a large-enough table, a build over a serial source
+    /// otherwise (small dimension tables, non-chain inputs).
     fn chain_of(&mut self, plan: &'p LogicalPlan) -> Option<ChainSpec> {
         match plan {
             LogicalPlan::TableScan { entry, column_ids, filters, emit_row_ids, .. }
@@ -620,18 +616,12 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
     /// Plan a join build side as a DAG node (always succeeds — any plan
     /// can at worst build serially).
     fn build_node(&mut self, plan: &'p LogicalPlan, keys: &[Expr]) -> usize {
-        let mark = self.nodes.len();
-        if let Some(chain) = self.chain_of(plan) {
-            if let Some(morsels) = chain.plan_chain_morsels() {
-                return self.push(NodeSpec::Pipeline {
-                    chain,
-                    morsels,
-                    sink: PipelineSink::JoinBuild { keys: keys.to_vec() },
-                });
-            }
-        }
-        self.nodes.truncate(mark); // discard nodes of a rejected sub-chain
-        self.push(NodeSpec::SerialBuild { plan, keys: keys.to_vec() })
+        let sink = PipelineSink::JoinBuild { keys: keys.to_vec() };
+        let node = match self.chain_with_morsels(plan) {
+            Some((chain, morsels)) => NodeSpec::scan(chain, morsels, sink),
+            None => NodeSpec { source: SourceSpec::Serial(plan), links: vec![], sink, out: None },
+        };
+        self.push(node)
     }
 
     /// A chain plus its morsel slicing, discarding any nodes planned
@@ -639,7 +629,7 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
     fn chain_with_morsels(&mut self, plan: &'p LogicalPlan) -> Option<(ChainSpec, Vec<Morsel>)> {
         let mark = self.nodes.len();
         if let Some(chain) = self.chain_of(plan) {
-            if let Some(morsels) = chain.plan_chain_morsels() {
+            if let Some(morsels) = chain.base.morsels() {
                 return Some((chain, morsels));
             }
         }
@@ -652,11 +642,7 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
     /// (a grouped aggregate with no aggregate functions).
     fn sink_pipeline(&mut self, plan: &'p LogicalPlan) -> Option<usize> {
         if let Some((chain, morsels)) = self.chain_with_morsels(plan) {
-            return Some(self.push(NodeSpec::Pipeline {
-                chain,
-                morsels,
-                sink: PipelineSink::Collect,
-            }));
+            return Some(self.push(NodeSpec::scan(chain, morsels, PipelineSink::Collect)));
         }
         let (input, sink): (&LogicalPlan, _) = match plan {
             LogicalPlan::Aggregate { input, groups, aggs, .. } => {
@@ -696,12 +682,12 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
             return Some(node);
         }
         let (chain, morsels) = self.chain_with_morsels(input)?;
-        Some(self.push(NodeSpec::Pipeline { chain, morsels, sink }))
+        Some(self.push(NodeSpec::scan(chain, morsels, sink)))
     }
 
     /// Plan `sink` as a chunk-queue consumer over the arms of a UNION ALL:
-    /// each arm becomes a [`NodeSpec::QueueProducer`] pipeline streaming
-    /// into a shared bounded queue, and the sink pops batches from it
+    /// each arm becomes a pipeline whose output edge is a shared bounded
+    /// queue, and the sink pops batches from it
     /// concurrently — no serial concatenation wrapper, no full
     /// materialization of the union. Projections/filters *between* the
     /// sink and the union commute with UNION ALL and are pushed into every
@@ -753,9 +739,15 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
         let queue = self.queues.len();
         self.queues.push(QueueSpec { types, producers: planned.len() });
         for (arm, (chain, morsels)) in planned.into_iter().enumerate() {
-            self.push(NodeSpec::QueueProducer { chain, morsels, queue, arm });
+            let producer = NodeSpec::scan(chain, morsels, PipelineSink::Collect);
+            self.push(NodeSpec { out: Some((queue, arm)), ..producer });
         }
-        Some(self.push(NodeSpec::QueueConsumer { queue, sink: sink.clone() }))
+        Some(self.push(NodeSpec {
+            source: SourceSpec::Queue(queue),
+            links: vec![],
+            sink: sink.clone(),
+            out: None,
+        }))
     }
 
     /// Recognize the DAG's output nodes: a sink pipeline, or a UNION ALL
@@ -784,7 +776,7 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
 
     /// Fallback for joins whose *probe* side cannot fan out (small or
     /// non-chain): keep the expensive build morsel-parallel and probe it
-    /// from a serially-pulled chain. Only worth a DAG when the build is a
+    /// from a serial source. Only worth a DAG when the build is a
     /// parallel pipeline — otherwise the serial path is strictly simpler.
     fn serial_probe(&mut self, plan: &'p LogicalPlan) -> Option<usize> {
         let LogicalPlan::Join { left, right, join_type, left_keys, right_keys } = plan else {
@@ -794,19 +786,18 @@ impl<'a, 'p> SpecBuilder<'a, 'p> {
             return None;
         }
         let (chain, morsels) = self.chain_with_morsels(right)?;
-        let build = self.push(NodeSpec::Pipeline {
-            chain,
-            morsels,
-            sink: PipelineSink::JoinBuild { keys: right_keys.clone() },
-        });
-        Some(self.push(NodeSpec::SerialProbe {
-            plan: left,
+        let sink = PipelineSink::JoinBuild { keys: right_keys.clone() };
+        let build = self.push(NodeSpec::scan(chain, morsels, sink));
+        Some(self.push(NodeSpec {
+            source: SourceSpec::Serial(left),
             links: vec![GraphLink::Probe {
                 build,
                 left_keys: left_keys.clone(),
                 join_type: *join_type,
                 right_types: right.output_types(),
             }],
+            sink: PipelineSink::Collect,
+            out: None,
         }))
     }
 }
@@ -827,10 +818,6 @@ fn materialize(
         .with_compression(ctx.db.policy().compression())
         .with_sort_budget(ctx.budget() / 4)
         .with_fleet(Some(ctx.db.fleet()));
-    // Bound each streaming edge's backlog to a slice of the memory budget:
-    // enough to decouple producer and consumer, small enough that queued
-    // chunks (charged per batch) cannot crowd out sink state.
-    let queue_bytes = (ctx.budget() / 8).clamp(1 << 16, 4 << 20);
     // A queue carries one batch per producer morsel; declaring the total
     // lets sort consumers cap their run fan-out like table-sourced sorts.
     // Queue consumers are weighted by the rows their producers feed them.
@@ -839,11 +826,12 @@ fn materialize(
     let mut queue_batches = vec![0usize; spec.queues.len()];
     let mut queue_weights = vec![0u64; spec.queues.len()];
     for node in &spec.nodes {
-        if let NodeSpec::QueueProducer { morsels, queue, .. } = node {
-            queue_batches[*queue] += morsels.len();
-            queue_weights[*queue] += morsel_rows(morsels);
+        if let (Some((queue, _)), SourceSpec::Scan(_, morsels)) = (node.out, &node.source) {
+            queue_batches[queue] += morsels.len();
+            queue_weights[queue] += morsel_rows(morsels);
         }
     }
+    let queue_bytes = edge_bytes(ctx.budget());
     let queues: Vec<Arc<ChunkQueue>> = spec
         .queues
         .into_iter()
@@ -854,53 +842,25 @@ fn materialize(
             )
         })
         .collect();
-    let scan_source =
-        |chain: &ChainSpec, morsels: Vec<Morsel>| Arc::new(chain.morsel_source(txn, morsels));
     // Node weights are estimated input rows: when independent nodes launch
     // in the same round (e.g. two join builds, or union arms), the graph
     // splits the worker budget proportionally instead of evenly. Serial
-    // nodes run single-threaded by construction and weigh the minimum.
+    // inputs run on one worker and weigh the minimum.
     for node in spec.nodes {
-        match node {
-            NodeSpec::Pipeline { chain, morsels, sink } => {
+        let (source, weight) = match node.source {
+            SourceSpec::Scan(base, morsels) => {
                 let weight = morsel_rows(&morsels);
-                let source = scan_source(&chain, morsels);
-                graph.add_weighted(
-                    GraphNode::Pipeline { source: source.into(), links: chain.links, sink },
-                    weight,
-                );
+                (PipelineSource::Table(Arc::new(base.morsel_source(txn, morsels))), weight)
             }
-            NodeSpec::QueueProducer { chain, morsels, queue, arm } => {
-                let weight = morsel_rows(&morsels);
-                let source = scan_source(&chain, morsels);
-                graph.add_weighted(
-                    GraphNode::Pipeline {
-                        source: source.into(),
-                        links: chain.links,
-                        sink: PipelineSink::Queue { queue: Arc::clone(&queues[queue]), arm },
-                    },
-                    weight,
-                );
+            SourceSpec::Serial(plan) => {
+                (PipelineSource::serial(lower_node(ctx, txn, plan, 1, false)?), 1)
             }
-            NodeSpec::QueueConsumer { queue, sink } => {
-                graph.add_weighted(
-                    GraphNode::Pipeline {
-                        source: PipelineSource::Queue(Arc::clone(&queues[queue])),
-                        links: Vec::new(),
-                        sink,
-                    },
-                    queue_weights[queue],
-                );
+            SourceSpec::Queue(q) => {
+                (PipelineSource::Queue(Arc::clone(&queues[q])), queue_weights[q])
             }
-            NodeSpec::SerialBuild { plan, keys } => {
-                let input = Some(lower_node(ctx, txn, plan, 1, false)?);
-                graph.add(GraphNode::SerialBuild { input, keys });
-            }
-            NodeSpec::SerialProbe { plan, links } => {
-                let input = Some(lower_node(ctx, txn, plan, 1, false)?);
-                graph.add(GraphNode::SerialPipeline { input, links });
-            }
-        }
+        };
+        let out = node.out.map(|(q, arm)| (Arc::clone(&queues[q]), arm));
+        graph.add_weighted(GraphNode { source, links: node.links, sink: node.sink, out }, weight);
     }
     graph.set_outputs(outputs);
     Ok(Box::new(PipelineGraphOp::new(graph)))
@@ -1009,14 +969,13 @@ mod tests {
                 .output_nodes(plan)
                 .unwrap_or_else(|| panic!("expected a parallel DAG with a queue for: {sql}"));
             assert_eq!(spec.queues.len(), 1, "{sql}");
-            let producers =
-                spec.nodes.iter().filter(|n| matches!(n, NodeSpec::QueueProducer { .. })).count();
-            let consumers =
-                spec.nodes.iter().filter(|n| matches!(n, NodeSpec::QueueConsumer { .. })).count();
+            let consumes = |n: &NodeSpec<'_>| matches!(n.source, SourceSpec::Queue(_));
+            let producers = spec.nodes.iter().filter(|n| n.out.is_some()).count();
+            let consumers = spec.nodes.iter().filter(|n| consumes(n)).count();
             assert_eq!(producers, 2, "{sql}");
             assert_eq!(consumers, consumers_expected, "{sql}");
             assert!(
-                matches!(spec.nodes[*outputs.last().unwrap()], NodeSpec::QueueConsumer { .. }),
+                consumes(&spec.nodes[*outputs.last().unwrap()]),
                 "{sql}: the graph output must be the queue consumer"
             );
         }

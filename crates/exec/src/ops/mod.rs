@@ -14,7 +14,7 @@ pub use agg::{AggExpr, HashAggregateOp, SimpleAggregateOp};
 pub use basic::{FilterOp, LimitOp, ProjectionOp, ValuesOp};
 pub use join::{BuildSide, CrossProductOp, HashJoinOp, JoinType, NestedLoopJoinOp};
 pub use merge_join::MergeJoinOp;
-pub use modify::{DeleteOp, InsertOp, UpdateOp};
+pub use modify::{DeleteOp, UpdateOp};
 pub use scan::{SourceScanOp, TableScanOp};
 pub use sort::{ExternalSortOp, SortKey};
 

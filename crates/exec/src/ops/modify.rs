@@ -1,4 +1,5 @@
-//! Data modification operators: INSERT, UPDATE, DELETE.
+//! Data modification operators: UPDATE and DELETE (INSERT appends
+//! through the connection's WAL-logged append path).
 //!
 //! These are the §2 ETL path. UPDATE is column-wise: the plan scans the
 //! target table emitting row ids plus the *new* values for exactly the
@@ -25,51 +26,6 @@ fn check_not_null(entry: &TableEntry, column: usize, vector: &Vector) -> Result<
         )));
     }
     Ok(())
-}
-
-/// INSERT: pulls chunks matching the table layout and appends them.
-pub struct InsertOp {
-    entry: Arc<TableEntry>,
-    child: OperatorBox,
-    txn: Arc<Transaction>,
-    done: bool,
-}
-
-impl InsertOp {
-    pub fn new(entry: Arc<TableEntry>, child: OperatorBox, txn: Arc<Transaction>) -> Self {
-        InsertOp { entry, child, txn, done: false }
-    }
-}
-
-impl PhysicalOperator for InsertOp {
-    fn output_types(&self) -> Vec<LogicalType> {
-        vec![LogicalType::BigInt]
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let table_types = self.entry.column_types();
-        let mut inserted = 0u64;
-        while let Some(chunk) = self.child.next_chunk()? {
-            if chunk.is_empty() {
-                continue;
-            }
-            // Cast to the table layout and validate constraints.
-            let mut columns = Vec::with_capacity(table_types.len());
-            for (i, &ty) in table_types.iter().enumerate() {
-                let col = chunk.column(i).cast(ty)?;
-                check_not_null(&self.entry, i, &col)?;
-                columns.push(col);
-            }
-            let chunk = DataChunk::from_vectors(columns)?;
-            inserted += chunk.len() as u64;
-            self.entry.data.append_chunk(&self.txn, &chunk)?;
-        }
-        Ok(Some(count_chunk(inserted)?))
-    }
 }
 
 /// DELETE: pulls row ids (single BigInt column) and deletes them.
@@ -183,7 +139,6 @@ impl PhysicalOperator for UpdateOp {
 mod tests {
     use super::*;
     use crate::expression::Expr;
-    use crate::ops::basic::ValuesOp;
     use crate::ops::scan::TableScanOp;
     use crate::ops::{drain_rows, ProjectionOp};
     use eider_catalog::{Catalog, ColumnDefinition};
@@ -204,34 +159,9 @@ mod tests {
         (TransactionManager::new(), entry)
     }
 
-    fn values_source(rows: Vec<Vec<Value>>) -> OperatorBox {
-        let types = vec![LogicalType::Integer, LogicalType::Integer];
-        let chunk = DataChunk::from_rows(&types, &rows).unwrap();
-        Box::new(ValuesOp::new(types, vec![chunk]))
-    }
-
-    #[test]
-    fn insert_then_scan() {
-        let (mgr, entry) = setup();
-        let txn = Arc::new(mgr.begin());
-        let src = values_source(vec![
-            vec![Value::Integer(1), Value::Integer(-999)],
-            vec![Value::Integer(2), Value::Integer(42)],
-        ]);
-        let mut ins = InsertOp::new(Arc::clone(&entry), src, Arc::clone(&txn));
-        let rows = drain_rows(&mut ins).unwrap();
-        assert_eq!(rows[0][0], Value::BigInt(2));
-        assert_eq!(entry.data.count_visible(&txn), 2);
-    }
-
-    #[test]
-    fn insert_violating_not_null_fails() {
-        let (mgr, entry) = setup();
-        let txn = Arc::new(mgr.begin());
-        let src = values_source(vec![vec![Value::Null, Value::Integer(1)]]);
-        let mut ins = InsertOp::new(Arc::clone(&entry), src, Arc::clone(&txn));
-        let err = ins.next_chunk().unwrap_err();
-        assert!(matches!(err, EiderError::Constraint(_)), "{err}");
+    fn load(entry: &TableEntry, txn: &Transaction, rows: Vec<Vec<Value>>) {
+        let chunk = DataChunk::from_rows(&entry.column_types(), &rows).unwrap();
+        entry.data.append_chunk(txn, &chunk).unwrap();
     }
 
     #[test]
@@ -247,9 +177,7 @@ mod tests {
                 vec![Value::Integer(i), d]
             })
             .collect();
-        let mut ins = InsertOp::new(Arc::clone(&entry), values_source(rows), Arc::clone(&txn));
-        drain_rows(&mut ins).unwrap();
-        txn.is_read_write();
+        load(&entry, &txn, rows);
 
         let scan = TableScanOp::new(
             Arc::clone(&entry.data),
@@ -294,8 +222,7 @@ mod tests {
         let txn = Arc::new(mgr.begin());
         let rows: Vec<Vec<Value>> =
             (0..100).map(|i| vec![Value::Integer(i), Value::Integer(i)]).collect();
-        let mut ins = InsertOp::new(Arc::clone(&entry), values_source(rows), Arc::clone(&txn));
-        drain_rows(&mut ins).unwrap();
+        load(&entry, &txn, rows);
 
         let scan = TableScanOp::new(
             Arc::clone(&entry.data),

@@ -1,19 +1,23 @@
 //! The pipeline DAG: multi-pipeline scheduling with breaker-state handoff.
 //!
-//! A single `ParallelPipeline` can only express `scan → step* → sink`.
+//! A single `ParallelPipeline` can only express `source → step* → sink`.
 //! Real query shapes are *graphs* of such pipelines connected by pipeline
 //! breakers: a hash join's build pipeline must finish before its probe
 //! pipeline starts, a sort's runs must all exist before the merge, and a
 //! UNION ALL is two sibling pipelines feeding one result. The
 //! [`PipelineGraph`] models exactly that:
 //!
-//! * **nodes** are pipelines (or serially-evaluated build sides for inputs
-//!   too small or too irregular to split into morsels);
-//! * **edges** are breaker states passed between them — today an immutable
-//!   shared [`BuildSide`] flowing from a build node into the
-//!   [`GraphLink::Probe`] links of later pipelines;
-//! * **outputs** name the nodes whose chunks concatenate (in order) into
-//!   the graph's result; more than one output node models UNION ALL.
+//! * **nodes** are pipelines, each over one of three sources: table
+//!   morsels, a chunk queue fed by other nodes, or a serially-lowered
+//!   operator one worker pulls a chunk at a time (an input too small or
+//!   too irregular to split into morsels);
+//! * **edges** pass breaker state between them: an immutable shared
+//!   [`BuildSide`] flows from a join-build node into the
+//!   [`GraphLink::Probe`] links of later nodes, and every other node has
+//!   exactly one output edge — a [`ChunkQueue`] and the arm it feeds;
+//! * **outputs** name the nodes whose chunks form the graph's result, in
+//!   order; more than one output node models UNION ALL. Their output edge
+//!   is the ordered result queue [`PipelineGraphOp`] replays.
 //!
 //! Execution is driven by a **readiness scheduler**: a node becomes ready
 //! the moment every node it depends on (through a [`GraphLink::Probe`]
@@ -21,13 +25,12 @@
 //! its own scoped thread, fanning its workers out through the
 //! [`TaskScheduler`](crate::parallel::scheduler::TaskScheduler) with a
 //! proportional share of the fleet. Independent join builds overlap, the
-//! arms of a UNION ALL scan side by side, and a
-//! [`ChunkQueue`] edge streams batches
-//! from producer pipelines into a consumer that runs *at the same time*
-//! (queue edges are co-scheduling edges, not blocking dependencies).
-//! Every node's merge step is deterministic and queue batches carry
-//! deterministic sequence tags, so the whole DAG returns bit-identical
-//! rows at any worker count.
+//! arms of a UNION ALL scan side by side, and a [`ChunkQueue`] edge
+//! streams batches from producer pipelines into a consumer that runs *at
+//! the same time* (queue edges are co-scheduling edges, not blocking
+//! dependencies). Every node's merge step is deterministic and queue
+//! batches carry deterministic sequence tags, so the whole DAG returns
+//! bit-identical rows at any worker count.
 //!
 //! Failure of any node aborts every queue in the graph (waking blocked
 //! producers and consumers), stops launching new nodes, and surfaces the
@@ -51,24 +54,25 @@
 //!
 //! The [`PipelineGraphOp`] facade lets the physical planner splice a DAG
 //! into an otherwise serial plan — and is where results *leave* the
-//! graph: instead of materializing, the graph is rerouted through an
-//! ordered result [`ChunkQueue`] ([`PipelineGraph::stream_into`]) and
-//! executed on a background thread while the facade replays batches in
-//! composed-sequence order, one chunk per pull (see the type docs for the
-//! protocol). A [`GraphStats`] attachment records the scheduler's launch
-//! rounds and peak node concurrency for tests and inspection.
+//! graph: the output nodes feed an ordered result [`ChunkQueue`] and the
+//! graph executes on a background thread while the facade replays
+//! batches in composed-sequence order, one chunk per pull (see the type
+//! docs for the protocol). A [`GraphStats`] attachment records the
+//! scheduler's launch rounds and peak node concurrency for tests and
+//! inspection.
 
 use crate::expression::Expr;
 use crate::ops::join::{BuildSide, JoinType};
-use crate::ops::{OperatorBox, PhysicalOperator};
+use crate::ops::PhysicalOperator;
 use crate::parallel::fleet::{FleetLease, WorkerFleet};
-use crate::parallel::morsel::MorselSource;
 use crate::parallel::pipeline::{
-    sink_output_types, ParallelPipeline, PipelineOutput, PipelineSink, PipelineSource, PipelineStep,
+    sink_output_types, ParallelPipeline, PipelineSink, PipelineSource, PipelineStep,
 };
-use crate::parallel::queue::{compose_seq, ChunkQueue, OrderedPop, QueueBatch, QUEUE_ABORT_MSG};
+use crate::parallel::queue::{
+    compose_seq, edge_bytes, ChunkQueue, OrderedPop, QueueBatch, QUEUE_ABORT_MSG,
+};
 use eider_coop::compression::CompressionLevel;
-use eider_storage::buffer::{BufferManager, MemoryReservation};
+use eider_storage::buffer::BufferManager;
 use eider_txn::Transaction;
 use eider_vector::{DataChunk, EiderError, LogicalType, Result};
 use std::collections::{BTreeMap, VecDeque};
@@ -92,20 +96,17 @@ pub enum GraphLink {
     },
 }
 
-/// One node of the DAG.
-pub enum GraphNode {
-    /// A morsel-parallel pipeline over a [`PipelineSource`] — a table
-    /// scan, or a chunk queue fed by concurrently-running producer nodes.
-    Pipeline { source: PipelineSource, links: Vec<GraphLink>, sink: PipelineSink },
-    /// A join build side evaluated serially (the input is not
-    /// pipeline-shaped, or too small for fan-out to pay off). The *probe*
-    /// side still runs morsel-parallel — this is what keeps small
-    /// dimension-table joins on the parallel path.
-    SerialBuild { input: Option<OperatorBox>, keys: Vec<Expr> },
-    /// The mirror case: a *probe* side too small or irregular to split,
-    /// pulled serially through the resolved probe links and drained into
-    /// chunks. The expensive build pipeline stays morsel-parallel.
-    SerialPipeline { input: Option<OperatorBox>, links: Vec<GraphLink> },
+/// One node of the DAG: a pipeline from `source` through `links` into
+/// `sink`.
+pub struct GraphNode {
+    pub source: PipelineSource,
+    pub links: Vec<GraphLink>,
+    pub sink: PipelineSink,
+    /// The output edge: the chunk queue and arm this node's results feed.
+    /// The planner sets it for the UNION ALL arms under a sink, and the
+    /// graph sets it to the result queue for its output nodes. A join
+    /// build has none — its output is the build side its probes share.
+    pub out: Option<(Arc<ChunkQueue>, usize)>,
 }
 
 /// A secondary error a pipeline reports when the chunk queue it talks to
@@ -131,17 +132,6 @@ pub fn fold_link_types(base: Vec<LogicalType>, links: &[GraphLink]) -> Vec<Logic
         };
     }
     types
-}
-
-/// Breaker state parked between nodes during execution.
-enum NodeOutput {
-    /// Consumed (or never produced chunks/build state).
-    Taken,
-    Chunks {
-        chunks: Vec<DataChunk>,
-        reservations: Vec<MemoryReservation>,
-    },
-    Build(Arc<BuildSide>),
 }
 
 /// Scheduler instrumentation: which nodes launched together, and how many
@@ -201,122 +191,10 @@ impl GraphStats {
     }
 }
 
-/// A node with its probe links resolved, ready to run on its own thread.
-/// `out` is the result-edge attachment for streamed output nodes: the
-/// ordered queue and the arm this node feeds (see
-/// [`PipelineGraph::stream_into`]).
-enum ReadyNode {
-    SerialBuild {
-        input: OperatorBox,
-        keys: Vec<Expr>,
-    },
-    SerialPipeline {
-        input: OperatorBox,
-        steps: Vec<PipelineStep>,
-        out: Option<(Arc<ChunkQueue>, usize)>,
-    },
-    Pipeline {
-        source: PipelineSource,
-        steps: Vec<PipelineStep>,
-        sink: PipelineSink,
-        out: Option<(Arc<ChunkQueue>, usize)>,
-    },
-}
-
-/// The per-node slice of graph state a node thread owns (the graph itself
-/// holds trait objects that are `Send` but not `Sync`, so threads get a
-/// cheap clone of what they need instead of a `&PipelineGraph`).
-#[derive(Clone)]
-struct NodeCtx {
-    txn: Arc<Transaction>,
-    buffers: Option<Arc<BufferManager>>,
-    compression: CompressionLevel,
-    sort_budget: usize,
-}
-
-impl NodeCtx {
-    /// Run one resolved node to completion on `share` workers (called on
-    /// the node's own scheduler thread).
-    fn run_node(&self, node: ReadyNode, share: usize) -> Result<NodeOutput> {
-        match node {
-            ReadyNode::SerialBuild { mut input, keys } => {
-                let mut build = BuildSide::new(self.compression, self.buffers.clone())?;
-                while let Some(chunk) = input.next_chunk()? {
-                    if !chunk.is_empty() {
-                        build.append_chunk(chunk, &keys)?;
-                    }
-                }
-                Ok(NodeOutput::Build(Arc::new(build)))
-            }
-            ReadyNode::SerialPipeline { input, steps, out } => {
-                let mut op = steps.into_iter().fold(input, |child, step| step.instantiate(child));
-                let Some((queue, arm)) = out else {
-                    let mut chunks = Vec::new();
-                    while let Some(chunk) = op.next_chunk()? {
-                        if !chunk.is_empty() {
-                            chunks.push(chunk);
-                        }
-                    }
-                    return Ok(NodeOutput::Chunks { chunks, reservations: Vec::new() });
-                };
-                // Streamed output node: chunks go into the result edge as
-                // they are pulled, each a charged single-chunk batch; the
-                // same close/abort protocol as a parallel producer.
-                let streamed = (|| -> Result<()> {
-                    let mut seq = 0usize;
-                    while let Some(chunk) = op.next_chunk()? {
-                        if chunk.is_empty() {
-                            continue;
-                        }
-                        queue.push_charged(
-                            self.buffers.as_ref(),
-                            compose_seq(arm, seq),
-                            vec![chunk],
-                        )?;
-                        seq += 1;
-                    }
-                    Ok(())
-                })();
-                match &streamed {
-                    Ok(()) => queue.close_arm(arm),
-                    Err(_) => queue.abort(),
-                }
-                streamed
-                    .map(|()| NodeOutput::Chunks { chunks: Vec::new(), reservations: Vec::new() })
-            }
-            ReadyNode::Pipeline { source, steps, sink, out } => {
-                let mut pipeline =
-                    ParallelPipeline::new(source, Arc::clone(&self.txn), steps, sink)
-                        .with_buffers(self.buffers.clone())
-                        .with_sort_budget(self.sort_budget);
-                if let Some((queue, arm)) = out {
-                    pipeline = pipeline.with_output_queue(queue, arm);
-                }
-                match pipeline.execute(share)? {
-                    PipelineOutput::Chunks { chunks, reservations } => {
-                        Ok(NodeOutput::Chunks { chunks, reservations })
-                    }
-                    PipelineOutput::JoinBuild { partials, reservations } => {
-                        let build = BuildSide::from_partials(
-                            partials,
-                            self.compression,
-                            self.buffers.clone(),
-                        )?;
-                        // The workers' partial reservations release only
-                        // now, after the splice re-accounted the same rows
-                        // inside the build side.
-                        drop(reservations);
-                        Ok(NodeOutput::Build(Arc::new(build)))
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// An executable DAG of parallel pipelines, bound to one query's
 /// transaction. Build with [`PipelineGraph::new`] + [`PipelineGraph::add`],
-/// then declare the output node(s) with [`PipelineGraph::set_outputs`].
+/// declare the output node(s) with [`PipelineGraph::set_outputs`], and run
+/// it by pulling a [`PipelineGraphOp`].
 pub struct PipelineGraph {
     nodes: Vec<GraphNode>,
     /// Relative work estimate per node (same index as `nodes`), used to
@@ -338,13 +216,6 @@ pub struct PipelineGraph {
     /// execution finishes — including via abort — by dropping the graph).
     lease: Option<FleetLease>,
     stats: Option<Arc<GraphStats>>,
-    /// Result-edge streaming (see [`PipelineGraph::stream_into`]): the
-    /// ordered queue the graph's outputs feed instead of materializing.
-    stream_queue: Option<Arc<ChunkQueue>>,
-    /// Output nodes whose merge/serial drain streams into the result edge
-    /// (Collect outputs are rewritten to worker-level `Queue` sinks and
-    /// are not listed here).
-    stream_arms: Vec<(NodeId, usize)>,
 }
 
 impl PipelineGraph {
@@ -361,38 +232,26 @@ impl PipelineGraph {
             fleet: None,
             lease: None,
             stats: None,
-            stream_queue: None,
-            stream_arms: Vec::new(),
         }
     }
 
     /// Partition workers through a shared [`WorkerFleet`] instead of this
-    /// graph's private thread budget. [`PipelineGraphOp`] acquires the
-    /// admission lease; a graph executed directly (tests) reserves its
-    /// own slot during [`execute`].
-    ///
-    /// [`execute`]: PipelineGraph::execute
+    /// graph's private thread budget; [`PipelineGraphOp`] acquires the
+    /// admission lease before the graph starts.
     pub fn with_fleet(mut self, fleet: Option<Arc<WorkerFleet>>) -> Self {
         self.fleet = fleet;
         self
     }
 
-    /// The shared fleet this graph draws workers from, if any.
-    pub fn fleet(&self) -> Option<&Arc<WorkerFleet>> {
-        self.fleet.as_ref()
-    }
-
     /// Acquire the fleet admission slot (blocking at the gate if the
-    /// database is at its admission limit). Idempotent; a no-op without a
-    /// fleet. [`PipelineGraphOp`] calls this on the *session's* thread
-    /// before spawning the background scheduler, so a query waiting for
+    /// database is at its admission limit); a no-op without a fleet.
+    /// [`PipelineGraphOp`] calls this on the *session's* thread before
+    /// spawning the background scheduler, so a query waiting for
     /// admission costs no engine threads and holds no queue a running
     /// graph could block on.
-    pub fn admit(&mut self) {
-        if self.lease.is_none() {
-            if let Some(fleet) = &self.fleet {
-                self.lease = Some(fleet.admit());
-            }
+    fn admit(&mut self) {
+        if let Some(fleet) = &self.fleet {
+            self.lease = Some(fleet.admit());
         }
     }
 
@@ -403,7 +262,7 @@ impl PipelineGraph {
         self
     }
 
-    /// Account pipeline state (collected chunks, sort runs, aggregate
+    /// Account pipeline state (queued batches, sort runs, aggregate
     /// partials, build sides) against a buffer manager.
     pub fn with_buffers(mut self, buffers: Option<Arc<BufferManager>>) -> Self {
         self.buffers = buffers;
@@ -447,78 +306,40 @@ impl PipelineGraph {
         self.outputs = outputs;
     }
 
-    /// Number of declared output nodes (the arms of the result edge).
-    pub fn output_count(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Reroute the graph's result through `queue` instead of materializing
-    /// it: output nodes with a `Collect` sink over a table scan become
-    /// worker-level [`PipelineSink::Queue`] producers (one gap-free batch
-    /// per morsel), every other output node streams its merge/drain output
-    /// into the queue chunk by chunk. `queue` must be
-    /// [ordered](ChunkQueue::with_ordered) and sized for one producer per
-    /// output node; the consumer replays batches in composed-sequence
-    /// order ([`PipelineGraphOp`] does exactly that). Call after
-    /// [`PipelineGraph::set_outputs`], before execution.
-    pub fn stream_into(&mut self, queue: Arc<ChunkQueue>) -> Result<()> {
-        for (arm, &id) in self.outputs.clone().iter().enumerate() {
-            match &mut self.nodes[id] {
-                GraphNode::Pipeline { source: PipelineSource::Table(_), sink, .. }
-                    if matches!(sink, PipelineSink::Collect) =>
-                {
-                    *sink = PipelineSink::Queue { queue: Arc::clone(&queue), arm };
-                }
-                GraphNode::Pipeline { .. } | GraphNode::SerialPipeline { .. } => {
-                    self.stream_arms.push((id, arm));
-                }
-                GraphNode::SerialBuild { .. } => {
-                    return Err(EiderError::Internal(
-                        "a join build side cannot be a streamed graph output".into(),
-                    ));
-                }
+    /// Point the output nodes' edges at `queue`, arm by arm in output
+    /// order. `queue` must be [ordered](ChunkQueue::with_ordered) and sized
+    /// for one producer per output node.
+    fn stream_into(&mut self, queue: &Arc<ChunkQueue>) -> Result<()> {
+        for (arm, &id) in self.outputs.iter().enumerate() {
+            let node = &mut self.nodes[id];
+            if node.out.is_some() || matches!(node.sink, PipelineSink::JoinBuild { .. }) {
+                return Err(EiderError::Internal(
+                    "a graph output must be a node without another output".into(),
+                ));
             }
+            node.out = Some((Arc::clone(queue), arm));
         }
-        self.stream_queue = Some(queue);
         Ok(())
     }
 
     /// Column types a node's chain feeds into its sink.
     fn chain_types(&self, id: NodeId) -> Vec<LogicalType> {
-        match &self.nodes[id] {
-            GraphNode::SerialBuild { input, .. } => {
-                input.as_ref().map(|op| op.output_types()).unwrap_or_default()
-            }
-            GraphNode::Pipeline { source, links, .. } => {
-                fold_link_types(source.base_types(), links)
-            }
-            GraphNode::SerialPipeline { input, links } => {
-                let base = input.as_ref().map(|op| op.output_types()).unwrap_or_default();
-                fold_link_types(base, links)
-            }
-        }
+        let node = &self.nodes[id];
+        fold_link_types(node.source.base_types(), &node.links)
     }
 
     /// Column types of the graph's final output (the output nodes agree on
     /// them by construction — UNION ALL requires it).
     pub fn output_types(&self) -> Vec<LogicalType> {
         let Some(&first) = self.outputs.first() else { return Vec::new() };
-        match &self.nodes[first] {
-            GraphNode::SerialBuild { .. } => Vec::new(),
-            GraphNode::Pipeline { sink, .. } => sink_output_types(sink, || self.chain_types(first)),
-            GraphNode::SerialPipeline { .. } => self.chain_types(first),
-        }
+        sink_output_types(&self.nodes[first].sink, || self.chain_types(first))
     }
 
     /// Nodes a node must wait for: the build side of every probe link.
     /// Queue edges are deliberately absent — a queue consumer co-schedules
     /// with its producers and synchronizes through the queue itself.
     fn node_deps(node: &GraphNode) -> Vec<NodeId> {
-        let links = match node {
-            GraphNode::Pipeline { links, .. } | GraphNode::SerialPipeline { links, .. } => links,
-            GraphNode::SerialBuild { .. } => return Vec::new(),
-        };
-        links
+        node.links
             .iter()
             .filter_map(|link| match link {
                 GraphLink::Probe { build, .. } => Some(*build),
@@ -527,48 +348,9 @@ impl PipelineGraph {
             .collect()
     }
 
-    /// Every morsel source the graph scans (told to stop dispensing when
-    /// the graph fails, so sibling nodes wind down at their next morsel
-    /// boundary instead of scanning to completion first).
-    fn graph_sources(nodes: &[GraphNode]) -> Vec<Arc<MorselSource>> {
-        nodes
-            .iter()
-            .filter_map(|node| match node {
-                GraphNode::Pipeline { source: PipelineSource::Table(src), .. } => {
-                    Some(Arc::clone(src))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Every distinct chunk queue any node produces into or consumes from
-    /// (aborted wholesale when the graph fails, so no pipeline blocks on
-    /// an edge whose peer will never arrive).
-    fn graph_queues(nodes: &[GraphNode]) -> Vec<Arc<ChunkQueue>> {
-        let mut queues: Vec<Arc<ChunkQueue>> = Vec::new();
-        let mut remember = |q: &Arc<ChunkQueue>| {
-            if !queues.iter().any(|known| Arc::ptr_eq(known, q)) {
-                queues.push(Arc::clone(q));
-            }
-        };
-        for node in nodes {
-            if let GraphNode::Pipeline { source, sink, .. } = node {
-                if let PipelineSource::Queue(q) = source {
-                    remember(q);
-                }
-                if let PipelineSink::Queue { queue, .. } = sink {
-                    remember(queue);
-                }
-            }
-        }
-        queues
-    }
-
-    /// Execute the DAG under the readiness scheduler and concatenate the
-    /// output nodes' chunks (in output order). Returns the chunks plus the
-    /// buffer-manager reservations that keep them accounted until
-    /// teardown.
+    /// Execute the DAG under the readiness scheduler; every node's output
+    /// leaves through its output edge (join builds hand their build side
+    /// to their probers).
     ///
     /// Scheduling: each round launches *every* node whose probe
     /// dependencies have completed, one scoped thread per node, splitting
@@ -576,47 +358,30 @@ impl PipelineGraph {
     /// next completion and re-evaluates. On the first failure it aborts
     /// all queues, launches nothing further, and drains in-flight nodes
     /// before surfacing the error.
-    pub fn execute(mut self) -> Result<(Vec<DataChunk>, Vec<MemoryReservation>)> {
-        // A graph executed without going through `PipelineGraphOp` (tests,
-        // inline build sides) still takes its admission slot; the lease
-        // drops with `self` when execution finishes either way.
-        self.admit();
+    fn execute(mut self) -> Result<()> {
         let fleet = self.fleet.clone();
         let nodes = std::mem::take(&mut self.nodes);
         let weights = std::mem::take(&mut self.weights);
         let n = nodes.len();
         let deps: Vec<Vec<NodeId>> = nodes.iter().map(Self::node_deps).collect();
-        let mut queues = Self::graph_queues(&nodes);
-        let stream_queue = self.stream_queue.clone();
-        let stream_arms = std::mem::take(&mut self.stream_arms);
-        if let Some(q) = &stream_queue {
-            // Merge-streamed output nodes reference the result edge outside
-            // their sinks; it must still abort with the rest of the graph.
-            if !queues.iter().any(|known| Arc::ptr_eq(known, q)) {
-                queues.push(Arc::clone(q));
-            }
-        }
-        let sources = Self::graph_sources(&nodes);
-        // Failure anywhere stops the whole graph promptly: queues wake
-        // their blocked peers, morsel dispensers stop handing out work.
+        // Failure anywhere stops the whole graph promptly: sources stop
+        // dispensing work (queue sources also fail their producers) and
+        // output edges wake their blocked peers.
+        let sources: Vec<PipelineSource> = nodes.iter().map(|n| n.source.clone()).collect();
+        let edges: Vec<Arc<ChunkQueue>> =
+            nodes.iter().filter_map(|n| n.out.as_ref().map(|(q, _)| Arc::clone(q))).collect();
         let abort_graph = || {
-            for q in &queues {
-                q.abort();
-            }
             for src in &sources {
                 src.abort();
             }
+            for q in &edges {
+                q.abort();
+            }
         };
         let mut slots: Vec<Option<GraphNode>> = nodes.into_iter().map(Some).collect();
-        let mut results: Vec<NodeOutput> = (0..n).map(|_| NodeOutput::Taken).collect();
+        let mut builds: Vec<Option<Arc<BuildSide>>> = vec![None; n];
         let mut done = vec![false; n];
         let mut first_error: Option<EiderError> = None;
-        let ctx = NodeCtx {
-            txn: Arc::clone(&self.txn),
-            buffers: self.buffers.clone(),
-            compression: self.compression,
-            sort_budget: self.sort_budget,
-        };
         let stats = self.stats.clone();
         let threads = self.threads;
         // A panicking node must not strand the scheduler: its payload is
@@ -625,7 +390,7 @@ impl PipelineGraph {
         let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
 
         std::thread::scope(|scope| {
-            type NodeVerdict = std::thread::Result<Result<NodeOutput>>;
+            type NodeVerdict = std::thread::Result<Result<Option<Arc<BuildSide>>>>;
             let (tx, rx) = std::sync::mpsc::channel::<(NodeId, NodeVerdict)>();
             let mut running = 0usize;
             loop {
@@ -643,12 +408,8 @@ impl PipelineGraph {
                     let mut launchable = Vec::with_capacity(round.len());
                     for id in round.drain(..) {
                         let node = slots[id].take().expect("launch picked a live node");
-                        let out = stream_arms
-                            .iter()
-                            .find(|(nid, _)| *nid == id)
-                            .and_then(|&(_, arm)| stream_queue.clone().map(|q| (q, arm)));
-                        match Self::prepare(node, &results, out) {
-                            Ok(ready) => launchable.push((id, ready)),
+                        match self.prepare(node, &builds) {
+                            Ok(pipeline) => launchable.push((id, pipeline)),
                             Err(e) => {
                                 done[id] = true;
                                 if first_error.is_none() {
@@ -697,17 +458,17 @@ impl PipelineGraph {
                     // propagates directly (nothing else is running that a
                     // drain would have to wake).
                     if running == 0 && launchable.len() == 1 {
-                        let (id, ready) = launchable.pop().expect("checked");
+                        let (id, pipeline) = launchable.pop().expect("checked");
                         done[id] = true;
                         if let Some(stats) = &stats {
                             stats.record_share(id, share);
                         }
-                        let outcome = ctx.run_node(ready, share);
+                        let outcome = pipeline.execute(share);
                         if let Some(stats) = &stats {
                             stats.record_finish();
                         }
                         match outcome {
-                            Ok(output) => results[id] = output,
+                            Ok(build) => builds[id] = build,
                             Err(e) => {
                                 if first_error.is_none() {
                                     first_error = Some(e);
@@ -717,14 +478,13 @@ impl PipelineGraph {
                         }
                         continue;
                     }
-                    for (id, ready) in launchable {
+                    for (id, pipeline) in launchable {
                         running += 1;
                         let share = node_share(id);
                         if let Some(stats) = &stats {
                             stats.record_share(id, share);
                         }
                         let tx = tx.clone();
-                        let ctx = ctx.clone();
                         let stats = stats.clone();
                         scope.spawn(move || {
                             // Catch panics so the completion message is
@@ -733,7 +493,7 @@ impl PipelineGraph {
                             // (the panic is re-raised after the drain).
                             let out =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    ctx.run_node(ready, share)
+                                    pipeline.execute(share)
                                 }));
                             if let Some(stats) = &stats {
                                 stats.record_finish();
@@ -752,7 +512,7 @@ impl PipelineGraph {
                 running -= 1;
                 done[id] = true;
                 match result {
-                    Ok(Ok(output)) => results[id] = output,
+                    Ok(Ok(build)) => builds[id] = build,
                     Ok(Err(e)) => {
                         // Keep the root cause: a co-scheduled sibling's
                         // "queue aborted" echo must not shadow the real
@@ -784,67 +544,24 @@ impl PipelineGraph {
             // when nodes ran on the calling thread.
             std::panic::resume_unwind(payload);
         }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let mut chunks = Vec::new();
-        let mut reservations = Vec::new();
-        for &id in &self.outputs {
-            match std::mem::replace(&mut results[id], NodeOutput::Taken) {
-                NodeOutput::Chunks { chunks: c, reservations: r } => {
-                    chunks.extend(c);
-                    reservations.extend(r);
-                }
-                _ => {
-                    return Err(EiderError::Internal(
-                        "pipeline-DAG output node did not produce chunks".into(),
-                    ))
-                }
-            }
-        }
-        Ok((chunks, reservations))
+        first_error.map_or(Ok(()), Err)
     }
 
-    /// Resolve a launchable node's probe links against completed builds,
-    /// producing the owned state its thread runs with. `out` attaches the
-    /// result edge for streamed output nodes.
+    /// Resolve a launchable node's probe links against completed builds
+    /// into the pipeline its thread runs.
     fn prepare(
+        &self,
         node: GraphNode,
-        results: &[NodeOutput],
-        out: Option<(Arc<ChunkQueue>, usize)>,
-    ) -> Result<ReadyNode> {
-        Ok(match node {
-            GraphNode::SerialBuild { input, keys } => ReadyNode::SerialBuild {
-                input: input.ok_or_else(|| {
-                    EiderError::Internal("serial build node executed twice".into())
-                })?,
-                keys,
-            },
-            GraphNode::SerialPipeline { input, links } => ReadyNode::SerialPipeline {
-                input: input.ok_or_else(|| {
-                    EiderError::Internal("serial pipeline node executed twice".into())
-                })?,
-                steps: Self::resolve_links(links, results)?,
-                out,
-            },
-            GraphNode::Pipeline { source, links, sink } => ReadyNode::Pipeline {
-                source,
-                steps: Self::resolve_links(links, results)?,
-                sink,
-                out,
-            },
-        })
-    }
-
-    /// Resolve probe links against already-executed build nodes.
-    fn resolve_links(links: Vec<GraphLink>, results: &[NodeOutput]) -> Result<Vec<PipelineStep>> {
-        links
+        builds: &[Option<Arc<BuildSide>>],
+    ) -> Result<ParallelPipeline> {
+        let GraphNode { source, links, sink, out } = node;
+        let steps = links
             .into_iter()
             .map(|link| match link {
                 GraphLink::Step(step) => Ok(step),
                 GraphLink::Probe { build, left_keys, join_type, right_types } => {
-                    match results.get(build) {
-                        Some(NodeOutput::Build(b)) => Ok(PipelineStep::JoinProbe {
+                    match builds.get(build) {
+                        Some(Some(b)) => Ok(PipelineStep::JoinProbe {
                             build: Arc::clone(b),
                             left_keys,
                             join_type,
@@ -858,7 +575,11 @@ impl PipelineGraph {
                     }
                 }
             })
-            .collect()
+            .collect::<Result<Vec<_>>>()?;
+        Ok(ParallelPipeline::new(source, Arc::clone(&self.txn), steps, sink, out)
+            .with_buffers(self.buffers.clone())
+            .with_sort_budget(self.sort_budget)
+            .with_compression(self.compression))
     }
 }
 
@@ -866,8 +587,8 @@ impl PipelineGraph {
 /// executes on a dedicated background thread, its output nodes push
 /// batches into an ordered [`ChunkQueue`], and this side replays them in
 /// composed-sequence order — "arm 0's batches in sequence, then arm 1's"
-/// — so the stream is row-identical to the old materialized concatenation
-/// at every worker count. Batches that arrive ahead of their turn wait in
+/// — so the stream is row-identical to the serial UNION ALL
+/// concatenation at every worker count. Batches that arrive ahead of their turn wait in
 /// a reorder buffer; they keep their buffer-manager reservations (the §4
 /// charge) until activated for emission, at which point the charge moves
 /// to the cursor holding the chunk. The buffer is *bounded*: within an
@@ -894,10 +615,10 @@ struct ResultStream {
     drained: bool,
 }
 
-/// A [`PhysicalOperator`] facade over a pipeline DAG. The DAG no longer
-/// materializes its result: on the first pull the graph is rerouted
-/// through an ordered result [`ChunkQueue`]
-/// ([`PipelineGraph::stream_into`]) and executed on a background thread;
+/// A [`PhysicalOperator`] facade over a pipeline DAG, and the only way to
+/// run one: on the first pull the output nodes' edges are pointed at a
+/// fresh ordered result [`ChunkQueue`] and the graph executes on a
+/// background thread;
 /// each subsequent pull replays the next in-order chunk, so a slow
 /// consumer back-pressures the workers through the queue's byte bound
 /// instead of the engine buffering the whole result set. Dropping the
@@ -920,25 +641,20 @@ impl PipelineGraphOp {
         }
     }
 
-    /// Reroute the graph through a fresh ordered result queue and launch
-    /// the scheduler on its own thread.
+    /// Point the graph's outputs at a fresh ordered result queue and
+    /// launch the scheduler on its own thread.
     fn start(&mut self) -> Result<()> {
         let mut graph = self
             .graph
             .take()
             .ok_or_else(|| EiderError::Internal("pipeline DAG executed twice".into()))?;
-        let arms = graph.output_count();
-        // The same byte bound as inter-node queue edges: a slice of the
-        // memory budget, big enough to decouple producer and consumer,
-        // small enough that the backlog cannot crowd out operator state.
-        let queue_bytes = graph
-            .buffers
-            .as_ref()
-            .map(|b| (b.memory_limit() / 8).clamp(1 << 16, 4 << 20))
-            .unwrap_or(4 << 20);
-        let queue =
-            Arc::new(ChunkQueue::new(self.out_types.clone(), arms, queue_bytes).with_ordered());
-        graph.stream_into(Arc::clone(&queue))?;
+        let arms = graph.outputs.len();
+        // The same byte bound as inter-node queue edges.
+        let budget = graph.buffers.as_ref().map_or(usize::MAX, |b| b.memory_limit());
+        let queue = Arc::new(
+            ChunkQueue::new(self.out_types.clone(), arms, edge_bytes(budget)).with_ordered(),
+        );
+        graph.stream_into(&queue)?;
         // Admission happens here, on the consumer's own thread, *before*
         // the background scheduler exists: a query blocked at the fleet
         // gate holds no engine thread and owns no queue a peer could be
@@ -946,7 +662,7 @@ impl PipelineGraphOp {
         graph.admit();
         let handle = std::thread::Builder::new()
             .name("eider-graph".into())
-            .spawn(move || graph.execute().map(|_| ()))
+            .spawn(move || graph.execute())
             .map_err(|e| EiderError::Internal(format!("failed to spawn graph thread: {e}")))?;
         self.stream = Some(ResultStream {
             queue,
@@ -1076,10 +792,12 @@ mod tests {
     use super::*;
     use crate::expression::Expr;
     use crate::ops::sort::SortKey;
-    use crate::ops::{drain_rows, FilterOp, HashJoinOp, TableScanOp};
+    use crate::ops::{drain_rows, FilterOp, HashJoinOp, OperatorBox, TableScanOp};
     use crate::parallel::morsel::MorselSource;
+    use eider_storage::buffer::BufferManagerConfig;
     use eider_txn::{CmpOp, DataTable, ScanOptions, TableFilter, TransactionManager};
     use eider_vector::{Value, VECTOR_SIZE};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const ROWS: i32 = 30_000;
 
@@ -1101,25 +819,62 @@ mod tests {
         (mgr, table)
     }
 
+    /// The graph's rows, drained through the production entry point.
+    fn rows(graph: PipelineGraph) -> Result<Vec<Vec<Value>>> {
+        drain_rows(&mut PipelineGraphOp::new(graph))
+    }
+
     fn probe_opts() -> ScanOptions {
         ScanOptions { columns: vec![0, 1], filters: vec![], emit_row_ids: false }
     }
 
+    /// A morsel-parallel node scanning `opts` from the fixture table.
+    fn scan_node(
+        table: &Arc<DataTable>,
+        txn: &Arc<Transaction>,
+        opts: ScanOptions,
+        morsel_rows: usize,
+        links: Vec<GraphLink>,
+        sink: PipelineSink,
+    ) -> GraphNode {
+        let source = MorselSource::new(Arc::clone(table), txn, opts, morsel_rows);
+        GraphNode { source: PipelineSource::Table(Arc::new(source)), links, sink, out: None }
+    }
+
+    fn range(cmp: CmpOp, bound: i32) -> ScanOptions {
+        ScanOptions {
+            columns: vec![0, 1],
+            filters: vec![TableFilter::new(0, cmp, Value::Integer(bound))],
+            emit_row_ids: false,
+        }
+    }
+
     fn build_scan(table: &Arc<DataTable>, txn: &Arc<Transaction>) -> OperatorBox {
         // Build side: rows with id < 100 (one per key value).
-        Box::new(TableScanOp::new(
-            Arc::clone(table),
-            Arc::clone(txn),
-            ScanOptions {
-                columns: vec![0, 1],
-                filters: vec![TableFilter::new(0, CmpOp::Lt, Value::Integer(100))],
-                emit_row_ids: false,
-            },
-        ))
+        Box::new(TableScanOp::new(Arc::clone(table), Arc::clone(txn), range(CmpOp::Lt, 100)))
     }
 
     fn join_key() -> Vec<Expr> {
         vec![Expr::column(1, LogicalType::Integer)]
+    }
+
+    fn probe_link(build: NodeId) -> GraphLink {
+        GraphLink::Probe {
+            build,
+            left_keys: join_key(),
+            join_type: JoinType::Inner,
+            right_types: vec![LogicalType::Integer, LogicalType::Integer],
+        }
+    }
+
+    /// A join-build node pulling `input` serially.
+    fn serial_build(input: OperatorBox) -> GraphNode {
+        GraphNode {
+            source: PipelineSource::serial(input),
+            links: vec![],
+            sink: PipelineSink::JoinBuild { keys: join_key() },
+            out: None,
+        }
     }
 
     fn serial_join_rows(table: &Arc<DataTable>, txn: &Arc<Transaction>) -> Vec<Vec<Value>> {
@@ -1146,35 +901,29 @@ mod tests {
     ) -> PipelineGraph {
         let mut graph = PipelineGraph::new(Arc::clone(txn), threads);
         let build = if parallel_build {
-            let source =
-                Arc::new(MorselSource::new(Arc::clone(table), txn, probe_opts(), VECTOR_SIZE));
-            graph.add(GraphNode::Pipeline {
-                source: source.into(),
-                links: vec![GraphLink::Step(PipelineStep::Filter(Expr::Compare {
+            graph.add(scan_node(
+                table,
+                txn,
+                probe_opts(),
+                VECTOR_SIZE,
+                vec![GraphLink::Step(PipelineStep::Filter(Expr::Compare {
                     op: CmpOp::Lt,
                     left: Box::new(Expr::column(0, LogicalType::Integer)),
                     right: Box::new(Expr::constant(Value::Integer(100))),
                 }))],
-                sink: PipelineSink::JoinBuild { keys: join_key() },
-            })
+                PipelineSink::JoinBuild { keys: join_key() },
+            ))
         } else {
-            graph.add(GraphNode::SerialBuild {
-                input: Some(build_scan(table, txn)),
-                keys: join_key(),
-            })
+            graph.add(serial_build(build_scan(table, txn)))
         };
-        let source =
-            Arc::new(MorselSource::new(Arc::clone(table), txn, probe_opts(), VECTOR_SIZE * 2));
-        let probe = graph.add(GraphNode::Pipeline {
-            source: source.into(),
-            links: vec![GraphLink::Probe {
-                build,
-                left_keys: join_key(),
-                join_type: JoinType::Inner,
-                right_types: vec![LogicalType::Integer, LogicalType::Integer],
-            }],
-            sink: PipelineSink::Collect,
-        });
+        let probe = graph.add(scan_node(
+            table,
+            txn,
+            probe_opts(),
+            VECTOR_SIZE * 2,
+            vec![probe_link(build)],
+            PipelineSink::Collect,
+        ));
         graph.set_outputs(vec![probe]);
         graph
     }
@@ -1188,9 +937,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let graph = probe_graph(&table, &txn, threads, false);
             assert_eq!(graph.output_types().len(), 4);
-            let (chunks, _res) = graph.execute().unwrap();
-            let rows: Vec<Vec<Value>> = chunks.iter().flat_map(DataChunk::to_rows).collect();
-            assert_eq!(rows, serial, "threads={threads}");
+            assert_eq!(rows(graph).unwrap(), serial, "threads={threads}");
         }
     }
 
@@ -1201,9 +948,7 @@ mod tests {
         let serial = serial_join_rows(&table, &txn);
         for threads in [1, 2, 8] {
             let graph = probe_graph(&table, &txn, threads, true);
-            let (chunks, _res) = graph.execute().unwrap();
-            let rows: Vec<Vec<Value>> = chunks.iter().flat_map(DataChunk::to_rows).collect();
-            assert_eq!(rows, serial, "threads={threads}");
+            assert_eq!(rows(graph).unwrap(), serial, "threads={threads}");
         }
     }
 
@@ -1211,47 +956,19 @@ mod tests {
     fn weighted_nodes_split_the_round_budget_by_estimated_rows() {
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
-        let arm = |cmp: CmpOp, bound: i32| ScanOptions {
-            columns: vec![0, 1],
-            filters: vec![TableFilter::new(0, cmp, Value::Integer(bound))],
-            emit_row_ids: false,
-        };
         // Two independent scans launch in the same round; the one weighted
         // like a fact table should receive nearly the whole budget while
         // the dimension-sized one still gets its guaranteed worker.
         let mut graph = PipelineGraph::new(Arc::clone(&txn), 8);
-        let heavy = graph.add_weighted(
-            GraphNode::Pipeline {
-                source: PipelineSource::Table(Arc::new(MorselSource::new(
-                    Arc::clone(&table),
-                    &txn,
-                    arm(CmpOp::GtEq, 100),
-                    VECTOR_SIZE,
-                ))),
-                links: vec![],
-                sink: PipelineSink::Collect,
-            },
-            ROWS as u64,
-        );
-        let light = graph.add_weighted(
-            GraphNode::Pipeline {
-                source: PipelineSource::Table(Arc::new(MorselSource::new(
-                    Arc::clone(&table),
-                    &txn,
-                    arm(CmpOp::Lt, 100),
-                    VECTOR_SIZE,
-                ))),
-                links: vec![],
-                sink: PipelineSink::Collect,
-            },
-            100,
-        );
+        let arm = |cmp, bound| {
+            scan_node(&table, &txn, range(cmp, bound), VECTOR_SIZE, vec![], PipelineSink::Collect)
+        };
+        let heavy = graph.add_weighted(arm(CmpOp::GtEq, 100), ROWS as u64);
+        let light = graph.add_weighted(arm(CmpOp::Lt, 100), 100);
         graph.set_outputs(vec![heavy, light]);
         let stats = GraphStats::new();
         let graph = graph.with_stats(Arc::clone(&stats));
-        let (chunks, _res) = graph.execute().unwrap();
-        let rows: usize = chunks.iter().map(DataChunk::len).sum();
-        assert_eq!(rows, ROWS as usize);
+        assert_eq!(rows(graph).unwrap().len(), ROWS as usize);
         let shares = stats.node_shares();
         let share_of = |id: NodeId| {
             shares.iter().find(|(n, _)| *n == id).map(|&(_, s)| s).expect("node launched")
@@ -1267,21 +984,16 @@ mod tests {
     fn union_all_concatenates_output_nodes_in_order() {
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
-        let arm = |cmp: CmpOp, bound: i32| ScanOptions {
-            columns: vec![0, 1],
-            filters: vec![TableFilter::new(0, cmp, Value::Integer(bound))],
-            emit_row_ids: false,
-        };
         let serial: Vec<Vec<Value>> = {
             let mut low: OperatorBox = Box::new(TableScanOp::new(
                 Arc::clone(&table),
                 Arc::clone(&txn),
-                arm(CmpOp::Lt, 5_000),
+                range(CmpOp::Lt, 5_000),
             ));
             let mut high: OperatorBox = Box::new(TableScanOp::new(
                 Arc::clone(&table),
                 Arc::clone(&txn),
-                arm(CmpOp::GtEq, 25_000),
+                range(CmpOp::GtEq, 25_000),
             ));
             let mut rows = drain_rows(low.as_mut()).unwrap();
             rows.extend(drain_rows(high.as_mut()).unwrap());
@@ -1289,30 +1001,20 @@ mod tests {
         };
         for threads in [1, 2, 8] {
             let mut graph = PipelineGraph::new(Arc::clone(&txn), threads);
-            let low = graph.add(GraphNode::Pipeline {
-                source: PipelineSource::Table(Arc::new(MorselSource::new(
-                    Arc::clone(&table),
+            let arm = |cmp, bound| {
+                scan_node(
+                    &table,
                     &txn,
-                    arm(CmpOp::Lt, 5_000),
+                    range(cmp, bound),
                     VECTOR_SIZE,
-                ))),
-                links: vec![],
-                sink: PipelineSink::Collect,
-            });
-            let high = graph.add(GraphNode::Pipeline {
-                source: PipelineSource::Table(Arc::new(MorselSource::new(
-                    Arc::clone(&table),
-                    &txn,
-                    arm(CmpOp::GtEq, 25_000),
-                    VECTOR_SIZE,
-                ))),
-                links: vec![],
-                sink: PipelineSink::Collect,
-            });
+                    vec![],
+                    PipelineSink::Collect,
+                )
+            };
+            let low = graph.add(arm(CmpOp::Lt, 5_000));
+            let high = graph.add(arm(CmpOp::GtEq, 25_000));
             graph.set_outputs(vec![low, high]);
-            let (chunks, _res) = graph.execute().unwrap();
-            let rows: Vec<Vec<Value>> = chunks.iter().flat_map(DataChunk::to_rows).collect();
-            assert_eq!(rows, serial, "threads={threads}");
+            assert_eq!(rows(graph).unwrap(), serial, "threads={threads}");
         }
     }
 
@@ -1326,32 +1028,20 @@ mod tests {
         let expected: Vec<Vec<Value>> = serial[2..9].to_vec();
         for threads in [1, 2, 8] {
             let mut graph = PipelineGraph::new(Arc::clone(&txn), threads);
-            let build = graph.add(GraphNode::SerialBuild {
-                input: Some(build_scan(&table, &txn)),
-                keys: join_key(),
-            });
-            let probe = graph.add(GraphNode::Pipeline {
-                source: PipelineSource::Table(Arc::new(MorselSource::new(
-                    Arc::clone(&table),
-                    &txn,
-                    probe_opts(),
-                    VECTOR_SIZE * 2,
-                ))),
-                links: vec![GraphLink::Probe {
-                    build,
-                    left_keys: join_key(),
-                    join_type: JoinType::Inner,
-                    right_types: vec![LogicalType::Integer, LogicalType::Integer],
-                }],
-                sink: PipelineSink::Sort {
+            let build = graph.add(serial_build(build_scan(&table, &txn)));
+            let probe = graph.add(scan_node(
+                &table,
+                &txn,
+                probe_opts(),
+                VECTOR_SIZE * 2,
+                vec![probe_link(build)],
+                PipelineSink::Sort {
                     keys: vec![SortKey::desc(Expr::column(0, LogicalType::Integer))],
                     limit: Some((7, 2)),
                 },
-            });
+            ));
             graph.set_outputs(vec![probe]);
-            let (chunks, _res) = graph.execute().unwrap();
-            let rows: Vec<Vec<Value>> = chunks.iter().flat_map(DataChunk::to_rows).collect();
-            assert_eq!(rows, expected, "threads={threads}");
+            assert_eq!(rows(graph).unwrap(), expected, "threads={threads}");
         }
     }
 
@@ -1361,33 +1051,13 @@ mod tests {
         let txn = Arc::new(mgr.begin());
         let mut graph = PipelineGraph::new(Arc::clone(&txn), 2);
         // Node 0 collects chunks — probing it must fail, not panic.
-        let collect = graph.add(GraphNode::Pipeline {
-            source: PipelineSource::Table(Arc::new(MorselSource::new(
-                Arc::clone(&table),
-                &txn,
-                probe_opts(),
-                VECTOR_SIZE,
-            ))),
-            links: vec![],
-            sink: PipelineSink::Collect,
-        });
-        let probe = graph.add(GraphNode::Pipeline {
-            source: PipelineSource::Table(Arc::new(MorselSource::new(
-                Arc::clone(&table),
-                &txn,
-                probe_opts(),
-                VECTOR_SIZE,
-            ))),
-            links: vec![GraphLink::Probe {
-                build: collect,
-                left_keys: join_key(),
-                join_type: JoinType::Inner,
-                right_types: vec![LogicalType::Integer, LogicalType::Integer],
-            }],
-            sink: PipelineSink::Collect,
-        });
-        graph.set_outputs(vec![probe]);
-        let err = graph.execute().unwrap_err();
+        let node = |links| {
+            scan_node(&table, &txn, probe_opts(), VECTOR_SIZE, links, PipelineSink::Collect)
+        };
+        let collect = graph.add(node(vec![]));
+        let probe = graph.add(node(vec![probe_link(collect)]));
+        graph.set_outputs(vec![collect, probe]);
+        let err = rows(graph).unwrap_err();
         assert!(err.to_string().contains("no build side"), "{err}");
     }
 
@@ -1405,6 +1075,64 @@ mod tests {
         assert!(op.next_chunk().unwrap().is_none());
     }
 
+    /// Emits `(i, i % 100)` in full chunks, up to `chunks` of them,
+    /// counting every pull.
+    struct CountingOp {
+        pulls: Arc<AtomicUsize>,
+        chunks: usize,
+    }
+
+    impl PhysicalOperator for CountingOp {
+        fn output_types(&self) -> Vec<LogicalType> {
+            vec![LogicalType::Integer, LogicalType::Integer]
+        }
+
+        fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
+            let pull = self.pulls.fetch_add(1, Ordering::SeqCst);
+            if pull >= self.chunks {
+                return Ok(None);
+            }
+            let first = (pull * VECTOR_SIZE) as i32;
+            let rows: Vec<Vec<Value>> = (first..first + VECTOR_SIZE as i32)
+                .map(|i| vec![Value::Integer(i), Value::Integer(i % 100)])
+                .collect();
+            DataChunk::from_rows(&self.output_types(), &rows).map(Some)
+        }
+    }
+
+    #[test]
+    fn serial_probe_stops_pulling_when_the_consumer_drops() {
+        // A LIMIT above a serially-pulled probe takes one chunk and drops
+        // the cursor: the serial input must not be drained behind it, and
+        // every reservation must come back.
+        let (mgr, table) = fixture();
+        let txn = Arc::new(mgr.begin());
+        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 1 << 20 });
+        let pulls = Arc::new(AtomicUsize::new(0));
+        const CHUNKS: usize = 1_000;
+        let mut graph =
+            PipelineGraph::new(Arc::clone(&txn), 4).with_buffers(Some(Arc::clone(&buffers)));
+        let build = graph.add(serial_build(build_scan(&table, &txn)));
+        let probe = graph.add(GraphNode {
+            source: PipelineSource::serial(Box::new(CountingOp {
+                pulls: Arc::clone(&pulls),
+                chunks: CHUNKS,
+            })),
+            links: vec![probe_link(build)],
+            sink: PipelineSink::Collect,
+            out: None,
+        });
+        graph.set_outputs(vec![probe]);
+        let mut op = PipelineGraphOp::new(graph);
+        let first = op.next_chunk().unwrap().expect("a first chunk");
+        assert_eq!((first.len(), first.column_count()), (VECTOR_SIZE, 4));
+        drop(first);
+        drop(op);
+        let pulled = pulls.load(Ordering::SeqCst);
+        assert!(pulled < CHUNKS / 10, "the serial input was drained: {pulled} pulls");
+        assert_eq!(buffers.used_memory(), 0, "every reservation released");
+    }
+
     #[test]
     fn concurrent_graphs_share_a_fleet_and_stay_deterministic() {
         // Two whole DAGs racing on one fleet: each computes the same join,
@@ -1419,10 +1147,7 @@ mod tests {
                 .map(|_| {
                     let graph =
                         probe_graph(&table, &txn, 4, true).with_fleet(Some(Arc::clone(&fleet)));
-                    scope.spawn(move || {
-                        let (chunks, _res) = graph.execute().unwrap();
-                        chunks.iter().flat_map(DataChunk::to_rows).collect::<Vec<_>>()
-                    })
+                    scope.spawn(move || rows(graph).unwrap())
                 })
                 .collect();
             for h in handles {
@@ -1473,7 +1198,7 @@ mod tests {
 
     #[test]
     fn filter_op_composes_with_serial_build() {
-        // Regression guard: a SerialBuild node over a filtered serial chain
+        // Regression guard: a serial build over a filtered serial chain
         // (FilterOp, not a pushed-down TableFilter) must work identically.
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
@@ -1486,35 +1211,25 @@ mod tests {
             },
         ));
         let mut graph = PipelineGraph::new(Arc::clone(&txn), 4);
-        let build = graph.add(GraphNode::SerialBuild { input: Some(filtered), keys: join_key() });
-        let probe = graph.add(GraphNode::Pipeline {
-            source: PipelineSource::Table(Arc::new(MorselSource::new(
-                Arc::clone(&table),
-                &txn,
-                probe_opts(),
-                VECTOR_SIZE * 2,
-            ))),
-            links: vec![GraphLink::Probe {
-                build,
-                left_keys: join_key(),
-                join_type: JoinType::Inner,
-                right_types: vec![LogicalType::Integer, LogicalType::Integer],
-            }],
-            sink: PipelineSink::Collect,
-        });
+        let build = graph.add(serial_build(filtered));
+        let probe = graph.add(scan_node(
+            &table,
+            &txn,
+            probe_opts(),
+            VECTOR_SIZE * 2,
+            vec![probe_link(build)],
+            PipelineSink::Collect,
+        ));
         graph.set_outputs(vec![probe]);
-        let (chunks, _res) = graph.execute().unwrap();
-        let n: usize = chunks.iter().map(DataChunk::len).sum();
-        assert_eq!(n, ROWS as usize);
+        assert_eq!(rows(graph).unwrap().len(), ROWS as usize);
     }
 
     /// A `(arm, morsel)`-composed scan over half the fixture table.
     fn half_scan(low_half: bool) -> ScanOptions {
-        let (cmp, bound) = if low_half { (CmpOp::Lt, 15_000) } else { (CmpOp::GtEq, 15_000) };
-        ScanOptions {
-            columns: vec![0, 1],
-            filters: vec![TableFilter::new(0, cmp, Value::Integer(bound))],
-            emit_row_ids: false,
+        if low_half {
+            range(CmpOp::Lt, 15_000)
+        } else {
+            range(CmpOp::GtEq, 15_000)
         }
     }
 
@@ -1538,14 +1253,15 @@ mod tests {
         }
     }
 
-    /// Build the union-under-aggregate DAG: two scan arms streaming into a
-    /// shared chunk queue, consumed by an aggregate pipeline that runs
-    /// concurrently with them.
+    /// The union arms `links` (one list per arm, over the two halves of
+    /// the table) streaming into a shared chunk queue, consumed by an
+    /// aggregate pipeline that runs concurrently with them.
     fn union_agg_graph(
         table: &Arc<DataTable>,
         txn: &Arc<Transaction>,
         threads: usize,
-        buffers: Option<Arc<eider_storage::buffer::BufferManager>>,
+        buffers: Option<Arc<BufferManager>>,
+        links: [Vec<GraphLink>; 2],
     ) -> (PipelineGraph, Arc<ChunkQueue>, Arc<GraphStats>) {
         let stats = GraphStats::new();
         let mut graph = PipelineGraph::new(Arc::clone(txn), threads)
@@ -1553,22 +1269,23 @@ mod tests {
             .with_stats(Arc::clone(&stats));
         let queue =
             Arc::new(ChunkQueue::new(vec![LogicalType::Integer, LogicalType::Integer], 2, 1 << 18));
-        for (arm, low_half) in [true, false].into_iter().enumerate() {
-            graph.add(GraphNode::Pipeline {
-                source: PipelineSource::Table(Arc::new(MorselSource::new(
-                    Arc::clone(table),
-                    txn,
-                    half_scan(low_half),
-                    VECTOR_SIZE,
-                ))),
-                links: vec![],
-                sink: PipelineSink::Queue { queue: Arc::clone(&queue), arm },
-            });
+        for (arm, links) in links.into_iter().enumerate() {
+            let mut node = scan_node(
+                table,
+                txn,
+                half_scan(arm == 0),
+                VECTOR_SIZE,
+                links,
+                PipelineSink::Collect,
+            );
+            node.out = Some((Arc::clone(&queue), arm));
+            graph.add(node);
         }
-        let consumer = graph.add(GraphNode::Pipeline {
+        let consumer = graph.add(GraphNode {
             source: PipelineSource::Queue(Arc::clone(&queue)),
             links: vec![],
             sink: union_agg_sink(),
+            out: None,
         });
         graph.set_outputs(vec![consumer]);
         (graph, queue, stats)
@@ -1599,45 +1316,26 @@ mod tests {
         let txn = Arc::new(mgr.begin());
         let stats = GraphStats::new();
         let mut graph = PipelineGraph::new(Arc::clone(&txn), 4).with_stats(Arc::clone(&stats));
-        let build_arm = |cmp: CmpOp, bound: i32| GraphNode::Pipeline {
-            source: PipelineSource::Table(Arc::new(MorselSource::new(
-                Arc::clone(&table),
-                &txn,
-                ScanOptions {
-                    columns: vec![0, 1],
-                    filters: vec![TableFilter::new(0, cmp, Value::Integer(bound))],
-                    emit_row_ids: false,
-                },
-                VECTOR_SIZE,
-            ))),
-            links: vec![],
-            sink: PipelineSink::JoinBuild { keys: join_key() },
+        let build_arm = || {
+            let sink = PipelineSink::JoinBuild { keys: join_key() };
+            scan_node(&table, &txn, range(CmpOp::Lt, 100), VECTOR_SIZE, vec![], sink)
         };
-        let b1 = graph.add(build_arm(CmpOp::Lt, 100));
-        let b2 = graph.add(build_arm(CmpOp::Lt, 100));
-        let probe_link = |build: NodeId| GraphLink::Probe {
-            build,
-            left_keys: join_key(),
-            join_type: JoinType::Inner,
-            right_types: vec![LogicalType::Integer, LogicalType::Integer],
-        };
-        let probe = graph.add(GraphNode::Pipeline {
-            source: PipelineSource::Table(Arc::new(MorselSource::new(
-                Arc::clone(&table),
-                &txn,
-                probe_opts(),
-                VECTOR_SIZE * 2,
-            ))),
-            links: vec![probe_link(b1), probe_link(b2)],
-            sink: PipelineSink::Collect,
-        });
+        let b1 = graph.add(build_arm());
+        let b2 = graph.add(build_arm());
+        let probe = graph.add(scan_node(
+            &table,
+            &txn,
+            probe_opts(),
+            VECTOR_SIZE * 2,
+            vec![probe_link(b1), probe_link(b2)],
+            PipelineSink::Collect,
+        ));
         graph.set_outputs(vec![probe]);
-        let (chunks, _res) = graph.execute().unwrap();
+        let rows = rows(graph).unwrap();
         // Both builds have one row per key, so the double probe keeps the
         // row count and widens to 6 columns.
-        let n: usize = chunks.iter().map(DataChunk::len).sum();
-        assert_eq!(n, ROWS as usize);
-        assert_eq!(chunks[0].column_count(), 6);
+        assert_eq!(rows.len(), ROWS as usize);
+        assert_eq!(rows[0].len(), 6);
         let rounds = stats.launch_rounds();
         assert!(
             rounds[0].contains(&b1) && rounds[0].contains(&b2),
@@ -1657,10 +1355,9 @@ mod tests {
         let expected = union_agg_reference(&table, &txn);
         assert_eq!(expected.len(), 100);
         for threads in [1, 2, 4, 8] {
-            let (graph, queue, stats) = union_agg_graph(&table, &txn, threads, None);
-            let (chunks, _res) = graph.execute().unwrap();
-            let rows: Vec<Vec<Value>> = chunks.iter().flat_map(DataChunk::to_rows).collect();
-            assert_eq!(rows, expected, "threads={threads}");
+            let (graph, queue, stats) =
+                union_agg_graph(&table, &txn, threads, None, [vec![], vec![]]);
+            assert_eq!(rows(graph).unwrap(), expected, "threads={threads}");
             assert!(
                 queue.pushed_batches() > 0,
                 "the union arms must stream batches through the queue"
@@ -1674,20 +1371,20 @@ mod tests {
 
     #[test]
     fn union_under_aggregate_respects_a_tight_memory_limit() {
-        use eider_storage::buffer::{BufferManager, BufferManagerConfig};
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
         let expected = union_agg_reference(&table, &txn);
         for threads in [1, 2, 4, 8] {
             let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 1 << 20 });
-            let (graph, queue, _stats) =
-                union_agg_graph(&table, &txn, threads, Some(Arc::clone(&buffers)));
-            let (chunks, res) = graph.execute().unwrap();
-            let rows: Vec<Vec<Value>> = chunks.iter().flat_map(DataChunk::to_rows).collect();
-            assert_eq!(rows, expected, "threads={threads}");
+            let (graph, queue, _stats) = union_agg_graph(
+                &table,
+                &txn,
+                threads,
+                Some(Arc::clone(&buffers)),
+                [vec![], vec![]],
+            );
+            assert_eq!(rows(graph).unwrap(), expected, "threads={threads}");
             assert!(queue.pushed_batches() > 0);
-            drop(res);
-            drop(chunks);
             assert_eq!(buffers.used_memory(), 0, "all queue/agg reservations released");
         }
     }
@@ -1698,9 +1395,6 @@ mod tests {
         // wind down instead of waiting forever for the queue to close.
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
-        let mut graph = PipelineGraph::new(Arc::clone(&txn), 2);
-        let queue =
-            Arc::new(ChunkQueue::new(vec![LogicalType::Integer, LogicalType::Integer], 2, 1 << 18));
         let bad_filter = Expr::Compare {
             op: CmpOp::Eq,
             left: Box::new(Expr::Arithmetic {
@@ -1711,27 +1405,13 @@ mod tests {
             }),
             right: Box::new(Expr::constant(Value::BigInt(1))),
         };
-        for (arm, links) in [vec![], vec![GraphLink::Step(PipelineStep::Filter(bad_filter))]]
-            .into_iter()
-            .enumerate()
-        {
-            graph.add(GraphNode::Pipeline {
-                source: PipelineSource::Table(Arc::new(MorselSource::new(
-                    Arc::clone(&table),
-                    &txn,
-                    half_scan(arm == 0),
-                    VECTOR_SIZE,
-                ))),
-                links,
-                sink: PipelineSink::Queue { queue: Arc::clone(&queue), arm },
-            });
-        }
-        let consumer = graph.add(GraphNode::Pipeline {
-            source: PipelineSource::Queue(Arc::clone(&queue)),
-            links: vec![],
-            sink: union_agg_sink(),
-        });
-        graph.set_outputs(vec![consumer]);
-        assert!(graph.execute().is_err(), "the failing arm's error must surface");
+        let (graph, _queue, _stats) = union_agg_graph(
+            &table,
+            &txn,
+            2,
+            None,
+            [vec![], vec![GraphLink::Step(PipelineStep::Filter(bad_filter))]],
+        );
+        assert!(rows(graph).is_err(), "the failing arm's error must surface");
     }
 }

@@ -12,8 +12,10 @@
 //! * a [`TaskScheduler`](scheduler::TaskScheduler) fans a closure out
 //!   over N scoped worker threads sharing the query's snapshot
 //!   transaction;
-//! * a `ParallelPipeline` describes one pipeline's per-morsel operator
-//!   chain — filter, projection, and hash-join *probe* against a shared
+//! * a `ParallelPipeline` describes one pipeline's per-unit operator
+//!   chain over a source — table morsels, a chunk queue, or a serial
+//!   operator one worker pulls a chunk at a time — with filter,
+//!   projection, and hash-join *probe* against a shared
 //!   immutable build side, built from the same serial operators
 //!   ([`FilterOp`](crate::ops::FilterOp),
 //!   [`ProjectionOp`](crate::ops::ProjectionOp),
@@ -27,16 +29,16 @@
 //!   runs concurrently on its own scoped thread with a share of the
 //!   fleet — passing breaker state between them: a join's build pipeline
 //!   produces an `Arc<BuildSide>` its probe pipeline shares across
-//!   workers, sort runs spill to disk between production and merge, and
-//!   UNION ALL concatenates sibling pipelines' outputs;
+//!   workers, and every other node pushes its output into its one output
+//!   edge;
 //! * a [`ChunkQueue`] is a bounded streaming edge between pipelines: the
 //!   arms of a UNION ALL push per-morsel batches into it while the sink
 //!   above the union (aggregate, sort, DISTINCT) consumes them
 //!   morsel-parallel *at the same time* — no serial concatenation
 //!   wrapper, no full materialization, deterministic via composed
 //!   batch sequence numbers. In *ordered* mode the same queue is every
-//!   graph's **result edge**: output nodes stream into it (worker-level
-//!   for collects, merge-level for sorts/aggregates) and the
+//!   graph's **result edge**: output nodes stream into it (per work unit
+//!   for collects, chunk by chunk from sort and aggregate merges) and the
 //!   [`PipelineGraphOp`] facade replays batches
 //!   in sequence order to the pulling cursor, so a slow consumer
 //!   throttles the workers through the queue's byte bound instead of the
@@ -49,7 +51,7 @@
 //! contract under parallel execution.
 //!
 //! Results are deterministic across worker counts: collected chunks are
-//! re-ordered by morsel sequence number (so plain scans — and joined
+//! replayed in morsel sequence order (so plain scans — and joined
 //! chunks, which stay in probe-morsel order — match run to run), sorts
 //! break ties by scan position (a total comparator, so the k-way merge is
 //! independent of how rows landed in worker runs), and grouped aggregates
@@ -59,9 +61,8 @@
 //! when every aggregate is exact in any combine order. Memory is
 //! accounted against the
 //! [`BufferManager`](eider_storage::buffer::BufferManager): aggregate
-//! partials, buffered sort runs (released as they spill), collected
-//! chunks and build sides all charge the §4 budget, and output
-//! reservations release on pipeline teardown.
+//! partials, buffered sort runs (released as they spill), queued
+//! batches and build sides all charge the §4 budget.
 
 pub mod fleet;
 pub mod graph;

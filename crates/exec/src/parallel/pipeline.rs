@@ -1,25 +1,31 @@
 //! Parallel pipelines: per-worker operator chains plus a merging sink.
 //!
-//! A pipeline executes `scan → step* → sink` with every worker running the
-//! same chain over the morsels it claims. Steps are streaming operators —
-//! filter, projection, and (new with the pipeline DAG) a hash-join *probe*
-//! against a shared immutable [`BuildSide`] produced by an earlier
-//! pipeline. The sink is the pipeline breaker; each variant defines a
-//! worker-local partial state and a merge/finalize step:
+//! A pipeline executes `source → step* → sink` with every worker running
+//! the same chain over the units of work it claims. Steps are streaming
+//! operators — filter, projection, and a hash-join *probe* against a
+//! shared immutable [`BuildSide`] produced by an earlier pipeline. The
+//! sink is the pipeline breaker; each variant defines a worker-local
+//! partial state and a merge/finalize step:
 //!
 //! | sink | worker-local state | merge |
 //! |---|---|---|
-//! | [`PipelineSink::Collect`] | produced chunks, tagged by morsel | re-order by morsel sequence |
+//! | [`PipelineSink::Collect`] | chunks of the current work unit | none — each unit's chunks go to the output edge as one batch |
 //! | [`PipelineSink::SimpleAggregate`] | per-morsel [`AggState`] rows | [`AggState::merge`] in morsel order |
 //! | [`PipelineSink::HashAggregate`] | group hash tables: one per worker if every aggregate is exact in any order, else one per morsel | one hash partition per worker, each merging its keys from every table in morsel order and sorting them; a heap merge of the partitions emits groups key-sorted |
 //! | [`PipelineSink::Sort`] | a [`SortSink`]: columnar run + byte keys (Top-N: cap-bounded), spilled past the budget, sorted on the worker | `SortMerge`: heap of run heads on key bytes, keys end in the scan position |
-//! | [`PipelineSink::JoinBuild`] | hashed build chunks ([`BuildPartial`]) | splice via [`BuildSide::from_partials`] |
-//! | [`PipelineSink::Queue`] | chunks of the current work unit | none — batches stream into a [`ChunkQueue`] per unit |
+//! | [`PipelineSink::JoinBuild`] | hashed build chunks ([`BuildPartial`]) | splice into one [`BuildSide`] in scan order |
 //!
-//! Sources are [`PipelineSource`]s: a morsel-sliced table scan, or a
-//! bounded chunk queue fed by upstream pipelines running concurrently
-//! (each popped batch is a unit of work carrying a deterministic
-//! sequence).
+//! Sources are [`PipelineSource`]s: a morsel-sliced table scan, a bounded
+//! chunk queue fed by upstream pipelines running concurrently (each popped
+//! batch is a unit of work carrying a deterministic sequence), or a
+//! serially-lowered operator that one worker pulls a chunk at a time.
+//!
+//! Every pipeline but a join build has one **output edge**: a
+//! [`ChunkQueue`] and the arm it feeds. Collect workers push each work
+//! unit's chunks there, and aggregate and sort merges push their output
+//! chunk by chunk, so nothing is materialized and the queue's byte bound
+//! back-pressures the pipeline against a slow consumer. A join build's
+//! output is the build side its probes share.
 //!
 //! Partial aggregate states are kept *per morsel* (not just per worker)
 //! and merged in morsel order, so results do not depend on which worker
@@ -40,12 +46,10 @@
 //! Memory accounting (§4): when a [`BufferManager`] is attached, workers
 //! charge their partial state as it grows — aggregate groups, buffered
 //! sort rows (released again when a run spills to disk), Top-N candidate
-//! buffers (spilled when the ledger refuses a grow), collected result
-//! chunks, and join-build partials. Reservations for materialized output
-//! travel inside the pipeline's output and release on pipeline teardown —
-//! unless the pipeline is a streamed graph output (it has an output
-//! queue), in which case the merge/finalize step pushes chunks into a
-//! bounded result queue as charged batches and materializes nothing.
+//! buffers (spilled when the ledger refuses a grow) and join-build
+//! partials (released as the build side takes their rows over). Batches
+//! pushed to the output edge carry their own charge until the consumer
+//! is done with them.
 
 use crate::aggregate::AggState;
 use crate::ops::agg::{update_simple_states, AggExpr, GroupTable};
@@ -55,10 +59,12 @@ use crate::ops::{FilterOp, OperatorBox, ProjectionOp, ValuesOp};
 use crate::parallel::morsel::{Morsel, MorselScanOp, MorselSource};
 use crate::parallel::queue::{compose_seq, ChunkQueue, QueueBatch};
 use crate::parallel::scheduler::TaskScheduler;
+use eider_coop::compression::CompressionLevel;
 use eider_storage::buffer::{BufferManager, MemoryReservation};
 use eider_txn::Transaction;
 use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value, VECTOR_SIZE};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Where a pipeline's workers claim their units of work.
 #[derive(Debug, Clone)]
@@ -69,42 +75,86 @@ pub enum PipelineSource {
     /// concurrently; each popped batch is one unit of work, tagged with a
     /// deterministic sequence so merges stay order-independent.
     Queue(Arc<ChunkQueue>),
+    /// A serially-lowered operator — an input too small or too irregular
+    /// to split into morsels — pulled by one worker, one chunk per unit of
+    /// work (see [`PipelineSource::serial`]).
+    Serial(Arc<SerialSource>),
 }
 
-impl From<Arc<MorselSource>> for PipelineSource {
-    fn from(source: Arc<MorselSource>) -> Self {
-        PipelineSource::Table(source)
+/// The operator behind a [`PipelineSource::Serial`]. Every pull is one
+/// unit of work with the next sequence number, so the pipeline above it
+/// streams: when its consumer stops pulling, the operator stops too.
+pub struct SerialSource {
+    types: Vec<LogicalType>,
+    /// The operator — dropped once exhausted, releasing its state before
+    /// the graph ends — and the next unit's sequence number.
+    input: Mutex<(Option<OperatorBox>, usize)>,
+    aborted: AtomicBool,
+}
+
+impl std::fmt::Debug for SerialSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SerialSource").field("types", &self.types).finish_non_exhaustive()
     }
 }
 
-impl From<Arc<ChunkQueue>> for PipelineSource {
-    fn from(queue: Arc<ChunkQueue>) -> Self {
-        PipelineSource::Queue(queue)
+impl SerialSource {
+    /// The operator's next non-empty chunk as a one-chunk unit of work.
+    fn next_unit(&self) -> Result<Option<QueueBatch>> {
+        let mut guard = self.input.lock().expect("serial source poisoned");
+        let (input, seq) = &mut *guard;
+        while !self.aborted.load(Ordering::Relaxed) {
+            let Some(op) = input.as_mut() else { break };
+            match op.next_chunk()? {
+                Some(chunk) if chunk.is_empty() => {}
+                Some(chunk) => {
+                    *seq += 1;
+                    return Ok(Some(QueueBatch {
+                        seq: *seq - 1,
+                        chunks: vec![chunk],
+                        reservation: None,
+                    }));
+                }
+                None => *input = None,
+            }
+        }
+        Ok(None)
     }
 }
 
-/// One claimed unit of work: a table morsel or a queued chunk batch.
+/// One claimed unit of work: a table morsel or a batch of chunks.
 enum WorkUnit {
     Morsel(Morsel),
     Batch(QueueBatch),
 }
 
 impl PipelineSource {
+    /// A one-worker source pulling `op` a chunk at a time.
+    pub fn serial(op: OperatorBox) -> Self {
+        PipelineSource::Serial(Arc::new(SerialSource {
+            types: op.output_types(),
+            input: Mutex::new((Some(op), 0)),
+            aborted: AtomicBool::new(false),
+        }))
+    }
+
     /// Column types the source feeds into the chain.
     pub fn base_types(&self) -> Vec<LogicalType> {
         match self {
             PipelineSource::Table(src) => src.output_types(),
             PipelineSource::Queue(queue) => queue.types().to_vec(),
+            PipelineSource::Serial(src) => src.types.clone(),
         }
     }
 
     /// Claim the next unit of work; blocks on a queue source until a
     /// producer pushes or every producer closed.
-    fn next_work(&self) -> Option<WorkUnit> {
-        match self {
+    fn next_work(&self) -> Result<Option<WorkUnit>> {
+        Ok(match self {
             PipelineSource::Table(src) => src.next_morsel().map(WorkUnit::Morsel),
             PipelineSource::Queue(queue) => queue.pop().map(WorkUnit::Batch),
-        }
+            PipelineSource::Serial(src) => src.next_unit()?.map(WorkUnit::Batch),
+        })
     }
 
     /// Stop dispensing work after a worker failed (and, for queues, fail
@@ -113,6 +163,7 @@ impl PipelineSource {
         match self {
             PipelineSource::Table(src) => src.abort(),
             PipelineSource::Queue(queue) => queue.abort(),
+            PipelineSource::Serial(src) => src.aborted.store(true, Ordering::Relaxed),
         }
     }
 }
@@ -190,7 +241,9 @@ impl PipelineStep {
 /// The pipeline breaker at the top of a parallel pipeline.
 #[derive(Debug, Clone)]
 pub enum PipelineSink {
-    /// Materialize the chain's chunks in serial scan order.
+    /// Push each work unit's chunks to the output edge as one batch,
+    /// tagged [`compose_seq`]`(arm, unit)`: a consumer that replays the
+    /// batches in sequence order sees the rows in serial scan order.
     Collect,
     /// Ungrouped aggregation; one output row.
     SimpleAggregate(Vec<AggExpr>),
@@ -209,44 +262,8 @@ pub enum PipelineSink {
     /// needed) and the merge stops early.
     Sort { keys: Vec<SortKey>, limit: Option<(usize, usize)> },
     /// Hash-join build side: chunks plus precomputed key hashes, spliced
-    /// into a shared [`BuildSide`] by the pipeline DAG.
+    /// into the [`BuildSide`] the pipeline returns.
     JoinBuild { keys: Vec<crate::expression::Expr> },
-    /// Stream the chain's chunks into a [`ChunkQueue`] consumed by a
-    /// concurrently-running downstream pipeline (a UNION ALL arm feeding a
-    /// sink above the union). Workers push one batch per morsel, tagged
-    /// [`compose_seq`]`(arm, morsel)`; the pipeline itself produces no
-    /// output chunks. On completion the producer closes its queue slot; on
-    /// failure it aborts the queue so the consumer winds down.
-    Queue { queue: Arc<ChunkQueue>, arm: usize },
-}
-
-/// What a pipeline produces. Reservations keep materialized state charged
-/// to the buffer manager until the output's consumer drops it (pipeline
-/// teardown).
-pub(crate) enum PipelineOutput {
-    Chunks {
-        chunks: Vec<DataChunk>,
-        reservations: Vec<MemoryReservation>,
-    },
-    /// Build partials in scan order, ready for [`BuildSide::from_partials`].
-    JoinBuild {
-        partials: Vec<BuildPartial>,
-        reservations: Vec<MemoryReservation>,
-    },
-}
-
-#[cfg(test)]
-impl PipelineOutput {
-    /// Unwrap the chunk form (every sink but `JoinBuild`), dropping the
-    /// accounting (tests and callers that re-account themselves).
-    pub fn into_chunks(self) -> Vec<DataChunk> {
-        match self {
-            PipelineOutput::Chunks { chunks, .. } => chunks,
-            PipelineOutput::JoinBuild { .. } => {
-                panic!("join-build pipeline produces partials, not chunks")
-            }
-        }
-    }
 }
 
 /// Worker-local partial results, tagged for deterministic merging.
@@ -254,8 +271,9 @@ impl PipelineOutput {
 /// indirection boxing would add buys nothing.
 #[allow(clippy::large_enum_variant)]
 enum LocalState {
-    /// Produced chunks plus the reservation charging them to the budget.
-    Collect(Vec<((usize, usize), DataChunk)>, Option<MemoryReservation>),
+    /// Chunks of the current work unit, pushed to the output edge as one
+    /// batch at unit end (nothing survives to the merge step).
+    Unit(Vec<DataChunk>),
     /// Aggregate partials plus the worker's buffer-manager reservation
     /// covering them (held until the merge step has consumed them).
     Agg(Vec<(usize, AggPartial)>, Option<MemoryReservation>),
@@ -265,9 +283,6 @@ enum LocalState {
     Sorted(Vec<MergeRun>),
     /// Build partials plus the reservation charging them.
     JoinBuild(Vec<(usize, usize, BuildPartial)>, Option<MemoryReservation>),
-    /// Chunks of the current morsel, pushed as one queue batch at morsel
-    /// end (nothing survives to the merge step).
-    Queue(Vec<DataChunk>),
 }
 
 /// Partial aggregate state of one morsel — or, for a grouped aggregate
@@ -323,13 +338,11 @@ pub(crate) struct ParallelPipeline {
     buffers: Option<Arc<BufferManager>>,
     /// Total sort-run budget (split across workers); rows beyond it spill.
     sort_budget: usize,
-    /// Result-edge streaming: when set, the merge/finalize step pushes its
-    /// output chunks into this [`ChunkQueue`] (as arm `.1`, contiguous
-    /// batch sequences) instead of materializing them in the
-    /// [`PipelineOutput`] — a sort merge or aggregate emission then never
-    /// holds the full result, and the queue's byte bound back-pressures
-    /// the merge against a slow consumer.
-    output_queue: Option<(Arc<ChunkQueue>, usize)>,
+    /// Compression level of a join build's materialized rows.
+    compression: CompressionLevel,
+    /// The output edge: the queue and arm every sink but a join build
+    /// pushes its output into.
+    out: Option<(Arc<ChunkQueue>, usize)>,
 }
 
 /// A sort pipeline caps its fleet so every worker contributes at least
@@ -340,39 +353,28 @@ const MIN_SORT_MORSELS_PER_WORKER: usize = 8;
 
 impl ParallelPipeline {
     pub fn new(
-        source: impl Into<PipelineSource>,
+        source: PipelineSource,
         txn: Arc<Transaction>,
         steps: Vec<PipelineStep>,
         sink: PipelineSink,
+        out: Option<(Arc<ChunkQueue>, usize)>,
     ) -> Self {
         ParallelPipeline {
-            source: source.into(),
+            source,
             txn,
             steps,
             sink,
             buffers: None,
             sort_budget: usize::MAX,
-            output_queue: None,
+            compression: CompressionLevel::None,
+            out,
         }
-    }
-
-    /// Stream the merge/finalize step's output chunks into `queue` as arm
-    /// `arm` (one chunk per batch, contiguous sequences, each batch
-    /// charged via [`ChunkQueue::reserve_batch`]) instead of returning
-    /// them. The pipeline closes the arm on success and aborts the queue
-    /// on failure, exactly like a [`PipelineSink::Queue`] producer. Not
-    /// meaningful for [`PipelineSink::JoinBuild`] (which produces breaker
-    /// state, not chunks) or [`PipelineSink::Queue`] (which already
-    /// streams at worker granularity).
-    pub fn with_output_queue(mut self, queue: Arc<ChunkQueue>, arm: usize) -> Self {
-        self.output_queue = Some((queue, arm));
-        self
     }
 
     /// Account sink state against a buffer manager (§4's hard memory
     /// limits apply to parallel pipeline state as they do to the serial
     /// operators): workers charge partial aggregates, buffered sort rows,
-    /// collected chunks and join-build partials as they grow. Sorts react
+    /// queued batches and join-build partials as they grow. Sorts react
     /// to pressure by spilling; everything else aborts with `OutOfMemory`
     /// instead of sailing past the budget.
     pub fn with_buffers(mut self, buffers: Option<Arc<BufferManager>>) -> Self {
@@ -388,8 +390,15 @@ impl ParallelPipeline {
         self
     }
 
+    /// Compression level for a join build's materialized rows (Figure 1's
+    /// intermediate compression).
+    pub fn with_compression(mut self, compression: CompressionLevel) -> Self {
+        self.compression = compression;
+        self
+    }
+
     /// Column types the per-worker chain feeds into the sink.
-    pub fn chain_types(&self) -> Vec<LogicalType> {
+    fn chain_types(&self) -> Vec<LogicalType> {
         let mut types = self.source.base_types();
         for step in &self.steps {
             types = step.output_types(types);
@@ -398,18 +407,19 @@ impl ParallelPipeline {
     }
 
     /// Column types of the pipeline's final output.
-    pub fn output_types(&self) -> Vec<LogicalType> {
+    fn output_types(&self) -> Vec<LogicalType> {
         sink_output_types(&self.sink, || self.chain_types())
     }
 
     /// Worker count for this pipeline: clamped to the morsel count (no
-    /// point spawning a worker with nothing to claim), and further capped
-    /// for sort sinks so a fleet never splits a modest scan into more runs
-    /// than the merge fan-in can absorb.
+    /// point spawning a worker with nothing to claim), one for a serial
+    /// source, and further capped for sort sinks so a fleet never splits a
+    /// modest scan into more runs than the merge fan-in can absorb.
     fn plan_threads(&self, threads: usize) -> usize {
         let threads = match &self.source {
             PipelineSource::Table(src) => threads.clamp(1, src.morsel_count().max(1)),
             PipelineSource::Queue(_) => threads.max(1),
+            PipelineSource::Serial(_) => 1,
         };
         match (&self.sink, &self.source) {
             (PipelineSink::Sort { .. }, PipelineSource::Table(src)) => {
@@ -428,34 +438,23 @@ impl ParallelPipeline {
     /// Execute on (at most) `threads` workers — clamped to the source's
     /// morsel count, and for sort sinks capped so each worker contributes
     /// several morsels per run (merge fan-in costs more than tiny runs
-    /// save).
-    pub fn execute(&self, threads: usize) -> Result<PipelineOutput> {
-        let result = self.execute_inner(threads);
-        // A queue-sink pipeline participates in the edge's shutdown
-        // protocol whether it succeeded or died; closing by arm finalizes
-        // the per-arm batch count an ordered consumer relies on.
-        if let PipelineSink::Queue { queue, arm } = &self.sink {
-            match &result {
-                Ok(_) => queue.close_arm(*arm),
-                Err(_) => queue.abort(),
-            }
-        }
-        // Same protocol for a merge-streamed result edge.
-        if let Some((queue, arm)) = &self.output_queue {
+    /// save). Returns a join build's build side; every other sink's output
+    /// went to the output edge, which closes its arm on success and
+    /// aborts on failure (finalizing the per-arm batch count an ordered
+    /// consumer relies on, or waking the consumer to wind down).
+    pub fn execute(&self, threads: usize) -> Result<Option<Arc<BuildSide>>> {
+        let threads = self.plan_threads(threads);
+        let ctx = self.worker_ctx(threads);
+        let scheduler = TaskScheduler::new(threads);
+        let result =
+            scheduler.run(|_| self.run_worker(&ctx)).and_then(|locals| self.merge(&ctx, locals));
+        if let Some((queue, arm)) = &self.out {
             match &result {
                 Ok(_) => queue.close_arm(*arm),
                 Err(_) => queue.abort(),
             }
         }
         result
-    }
-
-    fn execute_inner(&self, threads: usize) -> Result<PipelineOutput> {
-        let threads = self.plan_threads(threads);
-        let ctx = self.worker_ctx(threads);
-        let scheduler = TaskScheduler::new(threads);
-        let locals = scheduler.run(|_| self.run_worker(&ctx))?;
-        self.merge(&ctx, locals)
     }
 
     fn worker_ctx(&self, threads: usize) -> WorkerCtx {
@@ -491,6 +490,14 @@ impl ParallelPipeline {
         }
     }
 
+    /// The output edge every sink but a join build feeds.
+    fn edge(&self) -> Result<(&Arc<ChunkQueue>, usize)> {
+        match &self.out {
+            Some((queue, arm)) => Ok((queue, *arm)),
+            None => Err(EiderError::Internal("pipeline has no output edge".into())),
+        }
+    }
+
     // ---- worker side ----
 
     fn run_worker(&self, ctx: &WorkerCtx) -> Result<LocalState> {
@@ -510,7 +517,7 @@ impl ParallelPipeline {
 
     fn run_worker_inner(&self, ctx: &WorkerCtx) -> Result<LocalState> {
         let mut local = match &self.sink {
-            PipelineSink::Collect => LocalState::Collect(Vec::new(), self.reserve()?),
+            PipelineSink::Collect => LocalState::Unit(Vec::new()),
             PipelineSink::SimpleAggregate(_) | PipelineSink::HashAggregate { .. } => {
                 LocalState::Agg(Vec::new(), self.reserve()?)
             }
@@ -529,7 +536,6 @@ impl ParallelPipeline {
                 })
             }
             PipelineSink::JoinBuild { .. } => LocalState::JoinBuild(Vec::new(), self.reserve()?),
-            PipelineSink::Queue { .. } => LocalState::Queue(Vec::new()),
         };
         // Group cardinality observed on this worker's previous morsel,
         // used to pre-size the next morsel's table.
@@ -538,7 +544,7 @@ impl ParallelPipeline {
         // Hoisted off the per-batch path (queue batches arrive thousands
         // of times per query).
         let base_types = self.source.base_types();
-        while let Some(work) = self.source.next_work() {
+        while let Some(work) = self.source.next_work()? {
             // The batch's reservation (charging its bytes while queued)
             // lives until this work unit is fully consumed.
             let mut _batch_reservation: Option<MemoryReservation> = None;
@@ -579,17 +585,16 @@ impl ParallelPipeline {
                 self.consume_chunk(ctx, &mut local, open.as_mut(), seq, intra, chunk)?;
                 intra += 1;
             }
-            if let (PipelineSink::Queue { queue, arm }, LocalState::Queue(pending)) =
-                (&self.sink, &mut local)
-            {
+            if let LocalState::Unit(pending) = &mut local {
                 // Flush this work unit's chunks as one batch, charged to
                 // the budget while it waits in the queue. Ordered (result)
                 // edges get a batch per work unit even when it produced
                 // nothing — the empty batch is the sequence marker that
                 // keeps the consumer's replay gap-free.
+                let (queue, arm) = self.edge()?;
                 if !pending.is_empty() || queue.is_ordered() {
                     let chunks = std::mem::take(pending);
-                    queue.push_charged(self.buffers.as_ref(), compose_seq(*arm, seq), chunks)?;
+                    queue.push_charged(self.buffers.as_ref(), compose_seq(arm, seq), chunks)?;
                 }
             }
             if !ctx.partial_per_worker {
@@ -619,11 +624,9 @@ impl ParallelPipeline {
         chunk: DataChunk,
     ) -> Result<()> {
         match (&self.sink, local) {
-            (PipelineSink::Collect, LocalState::Collect(chunks, reservation)) => {
-                if let Some(res) = reservation {
-                    res.grow(chunk.size_bytes())?;
-                }
-                chunks.push(((seq, intra), chunk));
+            (PipelineSink::Collect, LocalState::Unit(pending)) => {
+                // Batched per work unit; pushed at the end of the unit.
+                pending.push(chunk);
             }
             (PipelineSink::SimpleAggregate(aggs), LocalState::Agg(..)) => {
                 let Some(OpenPartial { partial: AggPartial::Simple(states), .. }) = agg else {
@@ -653,10 +656,6 @@ impl ParallelPipeline {
                 }
                 parts.push((seq, intra, partial));
             }
-            (PipelineSink::Queue { .. }, LocalState::Queue(pending)) => {
-                // Batched per work unit; pushed at the end of the unit.
-                pending.push(chunk);
-            }
             _ => unreachable!("local state matches sink"),
         }
         Ok(())
@@ -664,66 +663,20 @@ impl ParallelPipeline {
 
     // ---- merge/finalize side ----
 
-    /// Forward one merged result chunk into the pipeline's output queue as
-    /// a charged single-chunk batch with the next contiguous sequence.
-    fn push_result_chunk(
-        buffers: &Option<Arc<BufferManager>>,
-        queue: &Arc<ChunkQueue>,
-        arm: usize,
-        seq: &mut usize,
-        chunk: DataChunk,
-    ) -> Result<()> {
-        let composed = compose_seq(arm, *seq);
+    /// Push one merged result chunk into the output edge as a charged
+    /// single-chunk batch with the next contiguous sequence.
+    fn push_result(&self, seq: &mut usize, chunk: DataChunk) -> Result<()> {
+        let (queue, arm) = self.edge()?;
+        queue.push_charged(self.buffers.as_ref(), compose_seq(arm, *seq), vec![chunk])?;
         *seq += 1;
-        queue.push_charged(buffers.as_ref(), composed, vec![chunk])
+        Ok(())
     }
 
-    fn merge(&self, ctx: &WorkerCtx, locals: Vec<LocalState>) -> Result<PipelineOutput> {
-        let output = self.merge_inner(ctx, locals)?;
-        // Result-edge streaming for the sinks the specialized branches in
-        // `merge_inner` did not already stream (simple aggregates, serial
-        // collect fallbacks): forward the finished chunks into the queue
-        // and release the merge-side reservations once everything is
-        // queued (each batch now carries its own charge).
-        match (&self.output_queue, output) {
-            (None, output) => Ok(output),
-            (Some(_), PipelineOutput::Chunks { chunks, .. }) if chunks.is_empty() => {
-                Ok(PipelineOutput::Chunks { chunks: Vec::new(), reservations: Vec::new() })
-            }
-            (Some((queue, arm)), PipelineOutput::Chunks { chunks, reservations }) => {
-                let mut seq = 0usize;
-                for chunk in chunks {
-                    Self::push_result_chunk(&self.buffers, queue, *arm, &mut seq, chunk)?;
-                }
-                drop(reservations);
-                Ok(PipelineOutput::Chunks { chunks: Vec::new(), reservations: Vec::new() })
-            }
-            (Some(_), PipelineOutput::JoinBuild { .. }) => Err(EiderError::Internal(
-                "join-build pipelines produce breaker state, not a result stream".into(),
-            )),
-        }
-    }
-
-    fn merge_inner(&self, ctx: &WorkerCtx, locals: Vec<LocalState>) -> Result<PipelineOutput> {
+    fn merge(&self, ctx: &WorkerCtx, locals: Vec<LocalState>) -> Result<Option<Arc<BuildSide>>> {
+        let mut seq = 0usize;
         match &self.sink {
-            PipelineSink::Collect => {
-                let mut tagged: Vec<((usize, usize), DataChunk)> = Vec::new();
-                let mut reservations = Vec::new();
-                for l in locals {
-                    match l {
-                        LocalState::Collect(chunks, reservation) => {
-                            tagged.extend(chunks);
-                            reservations.extend(reservation);
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                tagged.sort_by_key(|(pos, _)| *pos);
-                Ok(PipelineOutput::Chunks {
-                    chunks: tagged.into_iter().map(|(_, c)| c).collect(),
-                    reservations,
-                })
-            }
+            // Every work unit already went to the output edge.
+            PipelineSink::Collect => {}
             PipelineSink::SimpleAggregate(aggs) => {
                 let (mut parts, _worker_reservations) = collect_agg_partials(locals);
                 parts.sort_by_key(|(seq, _)| *seq);
@@ -738,7 +691,7 @@ impl ParallelPipeline {
                     states.iter().map(AggState::finalize).collect::<Result<_>>()?;
                 let mut out = DataChunk::new(&self.output_types());
                 out.append_row(&row)?;
-                Ok(PipelineOutput::Chunks { chunks: vec![out], reservations: Vec::new() })
+                self.push_result(&mut seq, out)?;
             }
             PipelineSink::HashAggregate { groups, aggs } => {
                 let (mut parts, worker_reservations) = collect_agg_partials(locals);
@@ -786,29 +739,16 @@ impl ParallelPipeline {
                 // order, which is scan-dependent anyway; the parallel
                 // merge emits in encoded-key (total) order — a heap merge
                 // of the sorted partitions — so output is identical for
-                // every worker count.
+                // every worker count. Windows stream straight into the
+                // output edge: the partition tables are the memory floor,
+                // the emitted chunks never pile up beside them, and their
+                // reservations hold until the last window left them.
                 let order = GroupTable::merge_sorted(&tables, &orders);
-                if let Some((queue, arm)) = &self.output_queue {
-                    // Stream windows straight into the result edge: the
-                    // partition tables are the memory floor, the emitted
-                    // chunks never pile up beside them. Their reservations
-                    // hold until the last window left them.
-                    let mut seq = 0usize;
-                    for window in order.chunks(VECTOR_SIZE) {
-                        let chunk = GroupTable::emit_partitioned(&tables, window, aggs)?;
-                        Self::push_result_chunk(&self.buffers, queue, *arm, &mut seq, chunk)?;
-                    }
-                    drop(merge_reservations);
-                    return Ok(PipelineOutput::Chunks {
-                        chunks: Vec::new(),
-                        reservations: Vec::new(),
-                    });
-                }
-                let mut chunks = Vec::new();
                 for window in order.chunks(VECTOR_SIZE) {
-                    chunks.push(GroupTable::emit_partitioned(&tables, window, aggs)?);
+                    let chunk = GroupTable::emit_partitioned(&tables, window, aggs)?;
+                    self.push_result(&mut seq, chunk)?;
                 }
-                Ok(PipelineOutput::Chunks { chunks, reservations: merge_reservations })
+                drop(merge_reservations);
             }
             PipelineSink::Sort { limit, .. } => {
                 let runs = locals
@@ -821,52 +761,39 @@ impl ParallelPipeline {
                 let (take, skip) = limit.unwrap_or((usize::MAX, 0));
                 let spec = Arc::clone(ctx.sort.as_ref().expect("sort sink"));
                 let mut merge = SortMerge::new(spec, runs, skip, take);
-                if let Some((queue, arm)) = &self.output_queue {
-                    // The k-way merge feeds the result edge chunk by
-                    // chunk: the sorted output is never materialized, and
-                    // the queue's byte bound throttles the merge when the
-                    // consumer lags (in-memory runs release their
-                    // reservations as they drain; spilled runs stay on
-                    // disk until pulled).
-                    let mut seq = 0usize;
-                    while let Some(chunk) = merge.next_chunk()? {
-                        Self::push_result_chunk(&self.buffers, queue, *arm, &mut seq, chunk)?;
-                    }
-                    return Ok(PipelineOutput::Chunks {
-                        chunks: Vec::new(),
-                        reservations: Vec::new(),
-                    });
-                }
-                let mut chunks = Vec::new();
+                // The k-way merge feeds the output edge chunk by chunk: the
+                // sorted output is never materialized, and the queue's byte
+                // bound throttles the merge when the consumer lags
+                // (in-memory runs release their reservations as they
+                // drain; spilled runs stay on disk until pulled).
                 while let Some(chunk) = merge.next_chunk()? {
-                    chunks.push(chunk);
+                    self.push_result(&mut seq, chunk)?;
                 }
-                Ok(PipelineOutput::Chunks { chunks, reservations: Vec::new() })
             }
             PipelineSink::JoinBuild { .. } => {
-                let mut tagged: Vec<(usize, usize, BuildPartial)> = Vec::new();
-                let mut reservations = Vec::new();
-                for l in locals {
-                    match l {
-                        LocalState::JoinBuild(parts, reservation) => {
-                            tagged.extend(parts);
-                            reservations.extend(reservation);
-                        }
-                        _ => unreachable!(),
+                let mut tagged: Vec<(usize, usize, usize, BuildPartial)> = Vec::new();
+                let mut reservations = Vec::with_capacity(locals.len());
+                for (worker, l) in locals.into_iter().enumerate() {
+                    let LocalState::JoinBuild(parts, reservation) = l else { unreachable!() };
+                    tagged.extend(parts.into_iter().map(|(seq, intra, p)| (seq, intra, worker, p)));
+                    reservations.push(reservation);
+                }
+                tagged.sort_by_key(|&(seq, intra, ..)| (seq, intra));
+                let mut build = BuildSide::new(self.compression, self.buffers.clone())?;
+                for (_, _, worker, partial) in tagged {
+                    let bytes = partial.footprint_bytes();
+                    build.append_partial(partial)?;
+                    // The build side charges the spliced rows itself: the
+                    // partial's charge goes as it is spliced, so the build
+                    // never holds both.
+                    if let Some(res) = &mut reservations[worker] {
+                        res.shrink(bytes);
                     }
                 }
-                tagged.sort_by_key(|(seq, intra, _)| (*seq, *intra));
-                Ok(PipelineOutput::JoinBuild {
-                    partials: tagged.into_iter().map(|(_, _, p)| p).collect(),
-                    reservations,
-                })
-            }
-            PipelineSink::Queue { .. } => {
-                // Everything streamed through the queue already; the node
-                // itself has no output.
-                Ok(PipelineOutput::Chunks { chunks: Vec::new(), reservations: Vec::new() })
+                return Ok(Some(Arc::new(build)));
             }
         }
+        Ok(None)
     }
 }
 
@@ -881,8 +808,6 @@ pub fn sink_output_types(
         PipelineSink::Collect | PipelineSink::Sort { .. } | PipelineSink::JoinBuild { .. } => {
             chain_types()
         }
-        // A queue sink emits into its queue, not out of the pipeline.
-        PipelineSink::Queue { .. } => Vec::new(),
         PipelineSink::SimpleAggregate(aggs) => aggs.iter().map(AggExpr::result_type).collect(),
         PipelineSink::HashAggregate { groups, aggs } => {
             let mut t: Vec<LogicalType> =
@@ -953,6 +878,7 @@ mod tests {
     use crate::aggregate::AggKind;
     use crate::expression::Expr;
     use crate::ops::{drain_rows, HashAggregateOp, SimpleAggregateOp, TableScanOp};
+    use crate::parallel::graph::{GraphLink, GraphNode, PipelineGraph, PipelineGraphOp};
     use eider_storage::buffer::{BufferManager, BufferManagerConfig};
     use eider_txn::{CmpOp, DataTable, ScanOptions, TableFilter, TransactionManager};
 
@@ -1011,19 +937,22 @@ mod tests {
         }
     }
 
-    fn pipeline(
+    /// A morsel-parallel node: scan → parity filter → `steps` → `sink`.
+    fn node_with(
         table: &Arc<DataTable>,
         txn: &Arc<Transaction>,
+        steps: Vec<PipelineStep>,
         sink: PipelineSink,
-    ) -> ParallelPipeline {
+    ) -> GraphNode {
         let source =
             Arc::new(MorselSource::new(Arc::clone(table), txn, scan_opts(), VECTOR_SIZE * 2));
-        ParallelPipeline::new(
-            source,
-            Arc::clone(txn),
-            vec![PipelineStep::Filter(parity_filter())],
-            sink,
-        )
+        let mut links = vec![GraphLink::Step(PipelineStep::Filter(parity_filter()))];
+        links.extend(steps.into_iter().map(GraphLink::Step));
+        GraphNode { source: PipelineSource::Table(source), links, sink, out: None }
+    }
+
+    fn node(table: &Arc<DataTable>, txn: &Arc<Transaction>, sink: PipelineSink) -> GraphNode {
+        node_with(table, txn, Vec::new(), sink)
     }
 
     fn serial_chain(table: &Arc<DataTable>, txn: &Arc<Transaction>) -> OperatorBox {
@@ -1033,14 +962,21 @@ mod tests {
         ))
     }
 
-    fn rows_at(pipeline: &ParallelPipeline, threads: usize) -> Vec<Vec<Value>> {
-        pipeline
-            .execute(threads)
-            .unwrap()
-            .into_chunks()
-            .iter()
-            .flat_map(DataChunk::to_rows)
-            .collect()
+    /// A graph over `nodes` whose last node is the output.
+    fn graph(txn: &Arc<Transaction>, threads: usize, nodes: Vec<GraphNode>) -> PipelineGraph {
+        let mut graph = PipelineGraph::new(Arc::clone(txn), threads);
+        let last = nodes.into_iter().map(|n| graph.add(n)).last().expect("a node");
+        graph.set_outputs(vec![last]);
+        graph
+    }
+
+    /// The graph's rows, drained through the production entry point.
+    fn rows(graph: PipelineGraph) -> Vec<Vec<Value>> {
+        drain_rows(&mut PipelineGraphOp::new(graph)).unwrap()
+    }
+
+    fn rows_at(txn: &Arc<Transaction>, node: GraphNode, threads: usize) -> Vec<Vec<Value>> {
+        rows(graph(txn, threads, vec![node]))
     }
 
     #[test]
@@ -1050,22 +986,9 @@ mod tests {
         let serial = drain_rows(serial_chain(&table, &txn).as_mut()).unwrap();
         assert_eq!(serial.len(), 15_000);
         for threads in [1, 2, 3, 8] {
-            let p = pipeline(&table, &txn, PipelineSink::Collect);
-            assert_eq!(rows_at(&p, threads), serial, "threads={threads}");
+            let n = node(&table, &txn, PipelineSink::Collect);
+            assert_eq!(rows_at(&txn, n, threads), serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn collect_charges_materialized_chunks_and_releases_on_drop() {
-        let (mgr, table) = fixture();
-        let txn = Arc::new(mgr.begin());
-        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 64 << 20 });
-        let p =
-            pipeline(&table, &txn, PipelineSink::Collect).with_buffers(Some(Arc::clone(&buffers)));
-        let output = p.execute(4).unwrap();
-        assert!(buffers.used_memory() > 0, "collected chunks must be charged");
-        drop(output);
-        assert_eq!(buffers.used_memory(), 0, "released on teardown");
     }
 
     #[test]
@@ -1093,8 +1016,8 @@ mod tests {
         let mut serial_op = SimpleAggregateOp::new(serial_chain(&table, &txn), aggs.clone());
         let serial = drain_rows(&mut serial_op).unwrap();
         for threads in [1, 2, 8] {
-            let p = pipeline(&table, &txn, PipelineSink::SimpleAggregate(aggs.clone()));
-            assert_eq!(rows_at(&p, threads), serial, "threads={threads}");
+            let n = node(&table, &txn, PipelineSink::SimpleAggregate(aggs.clone()));
+            assert_eq!(rows_at(&txn, n, threads), serial, "threads={threads}");
         }
     }
 
@@ -1136,13 +1059,13 @@ mod tests {
                 assert_eq!(serial.len(), group_count);
                 serial.sort_by(|a, b| cmp_value_rows(a, b));
                 for threads in [1, 2, 3, 8] {
-                    let p = pipeline(
+                    let n = node(
                         &table,
                         &txn,
                         PipelineSink::HashAggregate { groups: groups.clone(), aggs: aggs.clone() },
                     );
                     // Parallel output is already key-sorted.
-                    assert_eq!(rows_at(&p, threads), serial, "key={key} threads={threads}");
+                    assert_eq!(rows_at(&txn, n, threads), serial, "key={key} threads={threads}");
                 }
             }
         }
@@ -1152,7 +1075,6 @@ mod tests {
     fn hash_aggregate_releases_every_reservation() {
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
-        let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 64 << 20 });
         let groups = vec![Expr::column(0, LogicalType::Integer)];
         for distinct in [false, true] {
             let aggs = vec![AggExpr {
@@ -1161,15 +1083,15 @@ mod tests {
                 distinct,
             }];
             for threads in [1, 3] {
-                let p = pipeline(
+                let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 64 << 20 });
+                let n = node(
                     &table,
                     &txn,
                     PipelineSink::HashAggregate { groups: groups.clone(), aggs: aggs.clone() },
-                )
-                .with_buffers(Some(Arc::clone(&buffers)));
-                let output = p.execute(threads).unwrap();
-                assert!(buffers.used_memory() > 0, "partition tables stay charged");
-                drop(output);
+                );
+                let g = graph(&txn, threads, vec![n]).with_buffers(Some(Arc::clone(&buffers)));
+                assert_eq!(rows(g).len(), 15_000);
+                assert!(buffers.peak_memory() > 0, "group tables are charged");
                 assert_eq!(buffers.used_memory(), 0, "distinct={distinct} threads={threads}");
             }
         }
@@ -1182,14 +1104,13 @@ mod tests {
         // DISTINCT over the 7-valued column = HashAggregate with no aggs.
         let groups = vec![Expr::column(1, LogicalType::Integer)];
         for threads in [1, 2, 8] {
-            let p = pipeline(
+            let n = node(
                 &table,
                 &txn,
                 PipelineSink::HashAggregate { groups: groups.clone(), aggs: Vec::new() },
             );
-            let rows = rows_at(&p, threads);
             let expected: Vec<Vec<Value>> = (0..7).map(|i| vec![Value::Integer(i)]).collect();
-            assert_eq!(rows, expected, "threads={threads}");
+            assert_eq!(rows_at(&txn, n, threads), expected, "threads={threads}");
         }
     }
 
@@ -1209,8 +1130,8 @@ mod tests {
         );
         let serial = drain_rows(&mut serial_op).unwrap();
         for threads in [1, 2, 8] {
-            let p = pipeline(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None });
-            assert_eq!(rows_at(&p, threads), serial, "threads={threads}");
+            let n = node(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None });
+            assert_eq!(rows_at(&txn, n, threads), serial, "threads={threads}");
         }
     }
 
@@ -1222,17 +1143,14 @@ mod tests {
             SortKey::desc(Expr::column(1, LogicalType::Integer)),
             SortKey::asc(Expr::column(0, LogicalType::Integer)),
         ];
-        let reference = rows_at(
-            &pipeline(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None }),
-            4,
-        );
+        let sort = || node(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None });
+        let reference = rows_at(&txn, sort(), 4);
         assert_eq!(reference.len(), 15_000);
         for threads in [1, 2, 3, 8] {
             // A budget far below the data size forces every worker to spill
             // multiple runs through the external-sort run format.
-            let p = pipeline(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None })
-                .with_sort_budget(1 << 16);
-            assert_eq!(rows_at(&p, threads), reference, "threads={threads}");
+            let g = graph(&txn, threads, vec![sort()]).with_sort_budget(1 << 16);
+            assert_eq!(rows(g), reference, "threads={threads}");
         }
     }
 
@@ -1241,19 +1159,14 @@ mod tests {
         let (mgr, table) = fixture();
         let txn = Arc::new(mgr.begin());
         let keys = vec![SortKey::asc(Expr::column(0, LogicalType::Integer))];
-        let reference = rows_at(
-            &pipeline(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None }),
-            2,
-        );
+        let sort = || node(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None });
+        let reference = rows_at(&txn, sort(), 2);
         // ~15k rows at ~100 B/row of Value representation far exceed a
         // 512 KiB budget: reservations fail mid-scan and workers must react
         // by spilling rather than erroring.
         let buffers = BufferManager::new(BufferManagerConfig { memory_limit: 512 << 10 });
-        let p = pipeline(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None })
-            .with_buffers(Some(Arc::clone(&buffers)));
-        let rows = p.execute(4).unwrap().into_chunks();
-        let rows: Vec<Vec<Value>> = rows.iter().flat_map(DataChunk::to_rows).collect();
-        assert_eq!(rows, reference);
+        let g = graph(&txn, 4, vec![sort()]).with_buffers(Some(Arc::clone(&buffers)));
+        assert_eq!(rows(g), reference);
         assert_eq!(buffers.used_memory(), 0, "all sort reservations released");
     }
 
@@ -1265,17 +1178,11 @@ mod tests {
             SortKey::desc(Expr::column(1, LogicalType::Integer)),
             SortKey::asc(Expr::column(0, LogicalType::Integer)),
         ];
-        let full = rows_at(
-            &pipeline(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit: None }),
-            4,
-        );
+        let sort = |limit| node(&table, &txn, PipelineSink::Sort { keys: keys.clone(), limit });
+        let full = rows_at(&txn, sort(None), 4);
         for threads in [1, 2, 8] {
-            let p = pipeline(
-                &table,
-                &txn,
-                PipelineSink::Sort { keys: keys.clone(), limit: Some((25, 10)) },
-            );
-            assert_eq!(rows_at(&p, threads), full[10..35].to_vec(), "threads={threads}");
+            let top = rows_at(&txn, sort(Some((25, 10))), threads);
+            assert_eq!(top, full[10..35].to_vec(), "threads={threads}");
         }
     }
 
@@ -1305,29 +1212,20 @@ mod tests {
         let serial = serial_join();
 
         for threads in [1, 2, 8] {
-            let p = pipeline(&table, &txn, PipelineSink::JoinBuild { keys: build_keys.clone() });
-            let right_types = p.chain_types();
-            let PipelineOutput::JoinBuild { partials, reservations } = p.execute(threads).unwrap()
-            else {
-                panic!("expected join-build output")
+            // The morsel-parallel build feeds a probe pulled serially.
+            let build = node(&table, &txn, PipelineSink::JoinBuild { keys: build_keys.clone() });
+            let probe = GraphNode {
+                source: PipelineSource::serial(serial_chain(&table, &txn)),
+                links: vec![GraphLink::Probe {
+                    build: 0,
+                    left_keys: probe_keys.clone(),
+                    join_type: JoinType::Inner,
+                    right_types: vec![LogicalType::Integer, LogicalType::Integer],
+                }],
+                sink: PipelineSink::Collect,
+                out: None,
             };
-            let build = Arc::new(
-                BuildSide::from_partials(
-                    partials,
-                    eider_coop::compression::CompressionLevel::None,
-                    None,
-                )
-                .unwrap(),
-            );
-            drop(reservations);
-            let mut op = JoinProbeOp::new(
-                serial_chain(&table, &txn),
-                build,
-                probe_keys.clone(),
-                crate::ops::JoinType::Inner,
-                right_types,
-            );
-            let mut rows = drain_rows(&mut op).unwrap();
+            let mut rows = rows(graph(&txn, threads, vec![build, probe]));
             rows.sort_by(|a, b| cmp_value_rows(a, b));
             assert_eq!(rows.len(), serial.len(), "threads={threads}");
             assert_eq!(rows, serial, "threads={threads}");
@@ -1352,9 +1250,8 @@ mod tests {
         while let Some(chunk) = scan.next_chunk().unwrap() {
             build.append_chunk(chunk, &build_key).unwrap();
         }
-        let build = Arc::new(build);
         let probe_step = PipelineStep::JoinProbe {
-            build: Arc::clone(&build),
+            build: Arc::new(build),
             left_keys: vec![Expr::column(1, LogicalType::Integer)],
             join_type: JoinType::Inner,
             right_types: vec![LogicalType::Integer, LogicalType::Integer],
@@ -1363,35 +1260,10 @@ mod tests {
         let mut serial_op = probe_step.instantiate(serial_chain(&table, &txn));
         let serial = drain_rows(serial_op.as_mut()).unwrap();
         assert_eq!(serial.len(), 15_000 * 10);
-        let source =
-            Arc::new(MorselSource::new(Arc::clone(&table), &txn, scan_opts(), VECTOR_SIZE * 2));
-        let p = ParallelPipeline::new(
-            source,
-            Arc::clone(&txn),
-            vec![PipelineStep::Filter(parity_filter()), probe_step],
-            PipelineSink::Collect,
-        );
-        assert_eq!(p.output_types().len(), 4);
-        let reference = rows_at(&p, 1);
-        assert_eq!(reference, serial, "single worker matches the serial probe");
-        for threads in [2, 3, 8] {
-            let source =
-                Arc::new(MorselSource::new(Arc::clone(&table), &txn, scan_opts(), VECTOR_SIZE * 2));
-            let p = ParallelPipeline::new(
-                source,
-                Arc::clone(&txn),
-                vec![
-                    PipelineStep::Filter(parity_filter()),
-                    PipelineStep::JoinProbe {
-                        build: Arc::clone(&build),
-                        left_keys: vec![Expr::column(1, LogicalType::Integer)],
-                        join_type: JoinType::Inner,
-                        right_types: vec![LogicalType::Integer, LogicalType::Integer],
-                    },
-                ],
-                PipelineSink::Collect,
-            );
-            assert_eq!(rows_at(&p, threads), reference, "threads={threads}");
+        let probe = || node_with(&table, &txn, vec![probe_step.clone()], PipelineSink::Collect);
+        assert_eq!(graph(&txn, 1, vec![probe()]).output_types().len(), 4);
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(rows_at(&txn, probe(), threads), serial, "threads={threads}");
         }
     }
 
@@ -1405,17 +1277,14 @@ mod tests {
             right: Box::new(Expr::constant(Value::Integer(1))),
             ty: LogicalType::BigInt,
         }]);
-        let source =
-            Arc::new(MorselSource::new(Arc::clone(&table), &txn, scan_opts(), VECTOR_SIZE));
-        let p = ParallelPipeline::new(
-            source,
-            Arc::clone(&txn),
-            vec![PipelineStep::Filter(parity_filter()), project.clone()],
-            PipelineSink::Collect,
+        let g = graph(
+            &txn,
+            4,
+            vec![node_with(&table, &txn, vec![project.clone()], PipelineSink::Collect)],
         );
-        assert_eq!(p.output_types(), vec![LogicalType::BigInt]);
+        assert_eq!(g.output_types(), vec![LogicalType::BigInt]);
         let mut serial_op = project.instantiate(serial_chain(&table, &txn));
         let serial = drain_rows(serial_op.as_mut()).unwrap();
-        assert_eq!(rows_at(&p, 4), serial);
+        assert_eq!(rows(g), serial);
     }
 }

@@ -1,16 +1,16 @@
 //! Bounded chunk queues: streaming edges between pipelines of a DAG.
 //!
-//! A [`ChunkQueue`] connects *producer* pipelines (sink
-//! [`PipelineSink::Queue`](crate::parallel::pipeline::PipelineSink)) to one
-//! *consumer* pipeline (source
+//! A [`ChunkQueue`] is the output edge of its *producer* pipelines and
+//! feeds one *consumer* pipeline (source
 //! [`PipelineSource::Queue`](crate::parallel::pipeline::PipelineSource))
 //! that runs **concurrently** with them under the graph's readiness
-//! scheduler. Producer workers push one [`QueueBatch`] per morsel — the
-//! chunks that morsel produced, tagged with a deterministic sequence
-//! number — and consumer workers pop batches as their unit of work, so a
-//! sink above a UNION ALL (aggregate, sort, DISTINCT) consumes prior
-//! pipelines morsel-parallel instead of through a serial concatenation
-//! wrapper.
+//! scheduler. Producer workers of a
+//! [`Collect`](crate::parallel::pipeline::PipelineSink::Collect) sink push
+//! one [`QueueBatch`] per morsel — the chunks that morsel produced, tagged
+//! with a deterministic sequence number — and consumer workers pop batches
+//! as their unit of work, so a sink above a UNION ALL (aggregate, sort,
+//! DISTINCT) consumes prior pipelines morsel-parallel instead of through a
+//! serial concatenation wrapper.
 //!
 //! **Determinism.** Arrival order at the queue is racy, but every batch
 //! carries a sequence composed from its producer's arm index and morsel
@@ -62,6 +62,14 @@ use std::sync::{Condvar, Mutex};
 /// scheduler's root-cause error selection ([`super::graph`]) so the
 /// classification cannot drift from the message.
 pub(crate) const QUEUE_ABORT_MSG: &str = "pipeline chunk queue aborted";
+
+/// Byte bound of a streaming edge under a `budget`-byte memory limit: a
+/// slice of the budget big enough to decouple producer and consumer,
+/// small enough that queued chunks (charged per batch) cannot crowd out
+/// operator state.
+pub fn edge_bytes(budget: usize) -> usize {
+    (budget / 8).clamp(1 << 16, 4 << 20)
+}
 
 /// Bits of a composed sequence reserved for the in-arm morsel number.
 const ARM_SHIFT: u32 = 48;
@@ -278,10 +286,9 @@ impl ChunkQueue {
     }
 
     /// Reserve-and-push in one step: the standard charged producer push
-    /// shared by every producer kind — worker-level queue sinks,
-    /// merge-streamed result edges, serially-drained output nodes — so
-    /// the reservation and gap-free-sequence invariants the ordered
-    /// consumer relies on cannot drift between them. Non-empty batches
+    /// shared by every producer — collect workers and aggregate and sort
+    /// merges — so the reservation and gap-free-sequence invariants the
+    /// ordered consumer relies on cannot drift between them. Non-empty batches
     /// travel with a reservation from [`ChunkQueue::reserve_batch`] when
     /// `buffers` is attached (degrading per its §4 rules); empty
     /// sequence-marker batches push uncharged.
