@@ -11,8 +11,9 @@
 //! next one), and a trailing footer that indexes every message so readers
 //! seek straight to the batches they need. What it adds: per-batch
 //! per-column min/max statistics in the footer, giving scans the same
-//! zone-map pruning table row groups enjoy. Golden-file tests pin the
-//! byte format.
+//! zone-map pruning table row groups enjoy. They come from the same
+//! typed kernel as zone maps ([`Vector::min_max`]), so NULL and NaN never
+//! enter them. Golden-file tests pin the byte format.
 //!
 //! Layout:
 //!
@@ -298,7 +299,7 @@ impl<W: Write> ArrowWriter<W> {
         body.extend_from_slice(&(nrows as u32).to_le_bytes());
         let mut stats = Vec::with_capacity(self.types.len());
         for vector in chunk.columns() {
-            stats.push(vector.min_max());
+            stats.push(vector.min_max(0..nrows));
             let dict = vector.dict_parts();
             body.push(if dict.is_some() { ENC_DICT } else { ENC_PLAIN });
             body.extend(std::iter::repeat_n(0u8, pad8(body.len())));

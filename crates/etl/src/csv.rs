@@ -15,9 +15,18 @@
 //! first newline at quote depth zero), so partitioned parallel scans see
 //! exactly the records a serial scan would — each record belongs to the
 //! partition containing its first byte.
+//!
+//! Fields parse straight into their typed output columns
+//! ([`Vector::push_parsed`]) — no `Value` per cell, no row staging — with
+//! the per-type parse helpers behind [`Value::parse_as`], so the typed
+//! path accepts and rejects exactly the text a VARCHAR cast does, with the
+//! same messages. Outside tests this module denies `unwrap`/`expect`:
+//! malformed input surfaces as an [`EiderError`], never a panic.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::source::{SourcePartition, SourceReader, TableSource};
-use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value, VECTOR_SIZE};
+use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value, Vector, VECTOR_SIZE};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -94,15 +103,30 @@ impl<R: Read> ByteReader<R> {
 /// Streaming RFC 4180 record scanner: yields one record (its fields plus
 /// whether any quoting was seen) per call, tracking the absolute byte
 /// offset of the next record start. Quoted fields may span newlines.
+///
+/// A record's fields live back to back in one reused `String`, so the
+/// steady state allocates nothing per record or per field.
 struct RecordScanner<R: Read> {
     bytes: ByteReader<R>,
     delimiter: u8,
-    fields: Vec<String>,
+    /// The current record's fields, unquoted, back to back.
+    text: String,
+    /// End offset in `text` of each field of the current record.
+    ends: Vec<usize>,
+    /// Raw bytes of the field being scanned (validated as UTF-8 when the
+    /// field ends).
+    field: Vec<u8>,
 }
 
 impl<R: Read> RecordScanner<R> {
     fn new(inner: R, offset: u64, delimiter: u8) -> Self {
-        RecordScanner { bytes: ByteReader::new(inner, offset), delimiter, fields: Vec::new() }
+        RecordScanner {
+            bytes: ByteReader::new(inner, offset),
+            delimiter,
+            text: String::new(),
+            ends: Vec::new(),
+            field: Vec::new(),
+        }
     }
 
     /// Absolute byte offset of the next unconsumed byte — after a
@@ -111,12 +135,28 @@ impl<R: Read> RecordScanner<R> {
         self.bytes.offset
     }
 
-    /// Parse one record into `self.fields`. Returns `Ok(false)` at EOF.
-    /// The second flag of `Ok(true)` is whether the record used quotes
-    /// (distinguishes a blank line from a quoted empty field).
+    /// Number of fields in the current record.
+    fn field_count(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Field `i` of the current record.
+    fn field(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    fn fields(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len()).map(|i| self.field(i))
+    }
+
+    /// Parse one record (see [`RecordScanner::field`]). Returns `Ok(None)`
+    /// at EOF; otherwise whether the record used quotes (distinguishes a
+    /// blank line from a quoted empty field).
     fn next_record(&mut self) -> Result<Option<bool>> {
-        self.fields.clear();
-        let mut cur: Vec<u8> = Vec::new();
+        self.text.clear();
+        self.ends.clear();
+        self.field.clear();
         let mut in_quotes = false;
         let mut saw_quote = false;
         let mut saw_byte = false;
@@ -128,7 +168,7 @@ impl<R: Read> RecordScanner<R> {
                 if !saw_byte {
                     return Ok(None);
                 }
-                self.push_field(cur)?;
+                self.end_field()?;
                 return Ok(Some(saw_quote));
             };
             saw_byte = true;
@@ -136,35 +176,37 @@ impl<R: Read> RecordScanner<R> {
                 if b == b'"' {
                     if self.bytes.peek()? == Some(b'"') {
                         self.bytes.next()?;
-                        cur.push(b'"');
+                        self.field.push(b'"');
                     } else {
                         in_quotes = false;
                     }
                 } else {
-                    cur.push(b);
+                    self.field.push(b);
                 }
             } else if b == b'"' {
                 in_quotes = true;
                 saw_quote = true;
             } else if b == self.delimiter {
-                self.push_field(std::mem::take(&mut cur))?;
+                self.end_field()?;
             } else if b == b'\n' {
-                self.push_field(cur)?;
+                self.end_field()?;
                 return Ok(Some(saw_quote));
             } else if b == b'\r' && self.bytes.peek()? == Some(b'\n') {
                 self.bytes.next()?;
-                self.push_field(cur)?;
+                self.end_field()?;
                 return Ok(Some(saw_quote));
             } else {
-                cur.push(b);
+                self.field.push(b);
             }
         }
     }
 
-    fn push_field(&mut self, bytes: Vec<u8>) -> Result<()> {
-        let s = String::from_utf8(bytes)
+    fn end_field(&mut self) -> Result<()> {
+        let s = std::str::from_utf8(&self.field)
             .map_err(|_| EiderError::Parse("CSV field is not valid UTF-8".into()))?;
-        self.fields.push(s);
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
+        self.field.clear();
         Ok(())
     }
 
@@ -175,7 +217,7 @@ impl<R: Read> RecordScanner<R> {
             match self.next_record()? {
                 None => return Ok(false),
                 Some(quoted) => {
-                    let blank = !quoted && self.fields.len() == 1 && self.fields[0].is_empty();
+                    let blank = !quoted && self.ends == [0];
                     if !blank {
                         return Ok(true);
                     }
@@ -298,17 +340,17 @@ fn sniff(path: &Path, options: &CsvReadOptions) -> Result<SniffResult> {
         if first {
             first = false;
             if options.header {
-                names = std::mem::take(&mut scanner.fields);
+                names = scanner.fields().map(str::to_owned).collect();
                 samples.resize(names.len(), Vec::new());
                 data_start = scanner.offset();
                 continue;
             }
-            names = (0..scanner.fields.len()).map(|i| format!("column{i}")).collect();
+            names = (0..scanner.field_count()).map(|i| format!("column{i}")).collect();
             samples.resize(names.len(), Vec::new());
         }
-        for (i, f) in scanner.fields.iter().enumerate() {
-            if i < samples.len() && !f.is_empty() && *f != options.null_string {
-                samples[i].push(f.clone());
+        for (i, f) in scanner.fields().enumerate() {
+            if i < samples.len() && !f.is_empty() && f != options.null_string {
+                samples[i].push(f.to_owned());
             }
         }
         sampled += 1;
@@ -401,9 +443,10 @@ impl CsvReader {
     /// Read the next chunk of up to [`VECTOR_SIZE`] rows; `None` when the
     /// range (or file) is exhausted.
     pub fn next_chunk(&mut self) -> Result<Option<DataChunk>> {
-        let mut chunk = DataChunk::new(&self.out_types);
-        let mut row: Vec<Value> = Vec::with_capacity(self.projection.len());
-        while chunk.len() < VECTOR_SIZE {
+        let mut columns: Vec<Vector> =
+            self.out_types.iter().map(|&t| Vector::with_capacity(t, VECTOR_SIZE)).collect();
+        let mut rows = 0usize;
+        while rows < VECTOR_SIZE {
             if self.scanner.offset() >= self.end {
                 break;
             }
@@ -414,32 +457,30 @@ impl CsvReader {
                 self.skip_header = false;
                 continue;
             }
-            let fields = &self.scanner.fields;
-            if fields.len() != self.types.len() {
+            if self.scanner.field_count() != self.types.len() {
                 return Err(EiderError::Parse(format!(
                     "CSV row {} has {} fields, expected {}",
                     self.rows_read + 1,
-                    fields.len(),
+                    self.scanner.field_count(),
                     self.types.len()
                 )));
             }
-            row.clear();
-            for &col in &self.projection {
-                let f = &fields[col];
-                let v = if f.is_empty() || *f == self.null_string {
-                    Value::Null
+            // Each field parses straight into its typed column.
+            for (column, &col) in columns.iter_mut().zip(&self.projection) {
+                let f = self.scanner.field(col);
+                if f.is_empty() || f == self.null_string {
+                    column.push_null();
                 } else {
-                    Value::parse_as(f, self.types[col])?
-                };
-                row.push(v);
+                    column.push_parsed(f)?;
+                }
             }
-            chunk.append_row(&row)?;
+            rows += 1;
             self.rows_read += 1;
         }
-        if chunk.is_empty() {
+        if rows == 0 {
             Ok(None)
         } else {
-            Ok(Some(chunk))
+            Ok(Some(DataChunk::from_vectors(columns)?))
         }
     }
 }
@@ -528,7 +569,7 @@ impl TableSource for CsvSource {
         for s in starts {
             // Two nominal boundaries inside one huge record resolve to
             // the same start; drop the empty partition between them.
-            if s > *bounds.last().expect("non-empty") && s < self.file_len {
+            if bounds.last().is_some_and(|&b| s > b) && s < self.file_len {
                 bounds.push(s);
             }
         }
@@ -623,6 +664,7 @@ impl CsvWriter {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
@@ -639,7 +681,7 @@ mod tests {
     fn scan_one(line: &str, delimiter: char) -> Result<Vec<String>> {
         let mut s = RecordScanner::new(line.as_bytes(), 0, delimiter as u8);
         s.next_record()?;
-        Ok(std::mem::take(&mut s.fields))
+        Ok(s.fields().map(str::to_owned).collect())
     }
 
     #[test]
@@ -656,9 +698,9 @@ mod tests {
     fn quoted_newlines_stay_in_one_record() {
         let mut s = RecordScanner::new("a,\"x\ny\"\nb,z\n".as_bytes(), 0, b',');
         assert!(s.next_record().unwrap().is_some());
-        assert_eq!(s.fields, vec!["a", "x\ny"]);
+        assert_eq!(s.fields().collect::<Vec<_>>(), vec!["a", "x\ny"]);
         assert!(s.next_record().unwrap().is_some());
-        assert_eq!(s.fields, vec!["b", "z"]);
+        assert_eq!(s.fields().collect::<Vec<_>>(), vec!["b", "z"]);
         assert!(s.next_record().unwrap().is_none());
     }
 

@@ -407,23 +407,28 @@ fn encode_variable<'a, const ORDERED: bool>(
             let bytes = &mut scratch.bytes;
             bytes.push(KEY_VALID);
             let start = bytes.len();
-            match (dict_col, v.data()) {
-                (Some((frags, codes)), _) => bytes.extend_from_slice(&frags[codes[i] as usize]),
-                (None, VectorData::Bool(d)) => bytes.push(u8::from(d[i])),
-                (None, VectorData::I8(d)) => bytes.push((d[i] as u8) ^ 0x80),
-                (None, VectorData::I16(d)) => {
-                    bytes.extend_from_slice(&((d[i] as u16) ^ 0x8000).to_be_bytes())
+            // The dictionary arm comes first: `data()` would decode (clone)
+            // every string of a dict-coded column.
+            if let Some((frags, codes)) = dict_col {
+                bytes.extend_from_slice(&frags[codes[i] as usize]);
+            } else {
+                match v.data() {
+                    VectorData::Bool(d) => bytes.push(u8::from(d[i])),
+                    VectorData::I8(d) => bytes.push((d[i] as u8) ^ 0x80),
+                    VectorData::I16(d) => {
+                        bytes.extend_from_slice(&((d[i] as u16) ^ 0x8000).to_be_bytes())
+                    }
+                    VectorData::I32(d) => {
+                        bytes.extend_from_slice(&((d[i] as u32) ^ 0x8000_0000).to_be_bytes())
+                    }
+                    VectorData::I64(d) => {
+                        bytes.extend_from_slice(&encode_u64_ord(d[i]).to_be_bytes())
+                    }
+                    VectorData::F64(d) => {
+                        bytes.extend_from_slice(&encode_f64_ord(d[i]).to_be_bytes())
+                    }
+                    VectorData::Str(d) => encode_str(bytes, &d[i]),
                 }
-                (None, VectorData::I32(d)) => {
-                    bytes.extend_from_slice(&((d[i] as u32) ^ 0x8000_0000).to_be_bytes())
-                }
-                (None, VectorData::I64(d)) => {
-                    bytes.extend_from_slice(&encode_u64_ord(d[i]).to_be_bytes())
-                }
-                (None, VectorData::F64(d)) => {
-                    bytes.extend_from_slice(&encode_f64_ord(d[i]).to_be_bytes())
-                }
-                (None, VectorData::Str(d)) => encode_str(bytes, &d[i]),
             }
             if order.descending {
                 bytes[start..].iter_mut().for_each(|b| *b = !*b);

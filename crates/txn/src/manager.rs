@@ -31,26 +31,36 @@ pub(crate) struct WriteSummary {
 }
 
 impl WriteSummary {
+    /// Merge one written value. NULLs never satisfy a comparison
+    /// predicate, so they cannot turn a read result (NULL-ness changes ARE
+    /// visible to IS NULL reads, which we conservatively record as
+    /// whole-table reads). NaN is skipped like NULL: it compares equal to
+    /// every number, so it cannot serve as a bound.
     pub fn merge_value(&mut self, table_id: u64, column: usize, v: &Value) {
-        if v.is_null() {
-            // NULLs never satisfy a comparison predicate; they cannot turn
-            // a read result. (NULL-ness changes ARE visible to IS NULL
-            // reads, which we conservatively record as whole-table reads.)
+        if v.is_null() || v.is_nan() {
             return;
         }
+        self.merge_range(table_id, column, v.clone(), v.clone());
+    }
+
+    /// Merge the `(min, max)` bounds of a written range of one column —
+    /// the bulk path: an append merges each column once per appended
+    /// range, with bounds from [`eider_vector::Vector::min_max`] (never
+    /// NULL or NaN).
+    pub fn merge_range(&mut self, table_id: u64, column: usize, lo: Value, hi: Value) {
         let ranges = self.tables.entry(table_id).or_default();
         match ranges.entry(column) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 let (min, max) = e.get_mut();
-                if v.total_cmp(min) == std::cmp::Ordering::Less {
-                    *min = v.clone();
+                if lo.total_cmp(min) == std::cmp::Ordering::Less {
+                    *min = lo;
                 }
-                if v.total_cmp(max) == std::cmp::Ordering::Greater {
-                    *max = v.clone();
+                if hi.total_cmp(max) == std::cmp::Ordering::Greater {
+                    *max = hi;
                 }
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((v.clone(), v.clone()));
+                e.insert((lo, hi));
             }
         }
     }
@@ -425,5 +435,12 @@ mod tests {
         let mut s2 = WriteSummary::default();
         s2.merge_value(1, 0, &Value::Null);
         assert!(s2.is_empty());
+        // NaN never enters a range: a NaN first must not freeze it.
+        let mut s3 = WriteSummary::default();
+        s3.merge_value(1, 0, &Value::Double(f64::NAN));
+        assert!(s3.is_empty());
+        s3.merge_value(1, 0, &Value::Double(1.0));
+        s3.merge_range(1, 0, Value::Double(-3.0), Value::Double(7.0));
+        assert_eq!(s3.tables[&1][&0], (Value::Double(-3.0), Value::Double(7.0)));
     }
 }

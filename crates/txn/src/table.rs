@@ -8,6 +8,12 @@
 //! format allows to scan individual columns and skip irrelevant blocks of
 //! rows during a scan").
 //!
+//! Appends are columnar: [`DataTable::append_chunk`] computes each
+//! column's `(min, max)` once per appended range with the typed kernel
+//! [`Vector::min_max`], before taking the group's write lock, and feeds
+//! the pair to the zone map and to the transaction's write summary. NULL
+//! and NaN never enter a zone map (see [`Vector::min_max`]).
+//!
 //! Stamps are interpreted by magnitude (see [`crate::manager`]): values
 //! below [`TXN_ID_START`] are commit timestamps, values above are live
 //! transaction ids, and `u64::MAX` on a delete stamp means "not deleted".
@@ -67,8 +73,9 @@ struct RowGroupInner {
     /// Lazily allocated: most groups are never updated.
     update_stamps: Option<Vec<u64>>,
     undo: Vec<UndoEntry>,
-    /// Per column: (min, max) over all values ever present. Only widened,
-    /// never narrowed, so it stays conservative w.r.t. undo reconstruction.
+    /// Per column: (min, max) over all non-NULL, non-NaN values ever
+    /// present. Only widened, never narrowed, so it stays conservative
+    /// w.r.t. undo reconstruction.
     zone_maps: Vec<Option<(Value, Value)>>,
 }
 
@@ -88,20 +95,23 @@ impl RowGroupInner {
         self.insert_ids.len()
     }
 
-    fn widen_zone(&mut self, column: usize, v: &Value) {
-        if v.is_null() {
+    /// Widen a column's zone map to cover `[lo, hi]`. NULL and NaN never
+    /// enter: a NULL matches no comparison filter, and a NaN bound,
+    /// comparing equal to every number, would freeze the map.
+    fn widen_zone(&mut self, column: usize, lo: &Value, hi: &Value) {
+        if lo.is_null() || lo.is_nan() {
             return;
         }
         match &mut self.zone_maps[column] {
             Some((min, max)) => {
-                if v.total_cmp(min) == std::cmp::Ordering::Less {
-                    *min = v.clone();
+                if lo.total_cmp(min) == std::cmp::Ordering::Less {
+                    *min = lo.clone();
                 }
-                if v.total_cmp(max) == std::cmp::Ordering::Greater {
-                    *max = v.clone();
+                if hi.total_cmp(max) == std::cmp::Ordering::Greater {
+                    *max = hi.clone();
                 }
             }
-            slot @ None => *slot = Some((v.clone(), v.clone())),
+            slot @ None => *slot = Some((lo.clone(), hi.clone())),
         }
     }
 
@@ -258,22 +268,25 @@ impl DataTable {
         let mut offset = 0usize;
         while offset < chunk.len() {
             // Find (or create) a group with space.
-            let group_arc;
-            let group_idx;
-            {
+            let (group_arc, group_idx, start) = {
                 let mut groups = self.groups.write();
-                if groups.is_empty() || groups.last().unwrap().read().len() >= ROW_GROUP_SIZE {
+                let mut start = groups.last().map_or(ROW_GROUP_SIZE, |g| g.read().len());
+                if start >= ROW_GROUP_SIZE {
                     groups.push(Arc::new(RwLock::new(RowGroupInner::new(&self.types))));
+                    start = 0;
                 }
-                group_idx = groups.len() - 1;
-                group_arc = Arc::clone(&groups[group_idx]);
-            }
+                let idx = groups.len() - 1;
+                (Arc::clone(&groups[idx]), idx, start)
+            };
+            let count = (ROW_GROUP_SIZE - start).min(chunk.len() - offset);
+            let rows = offset..offset + count;
+            // Bounds of the appended range, one typed pass per column,
+            // computed before the group's write lock is taken.
+            let bounds: Vec<_> =
+                chunk.columns().iter().map(|col| col.min_max(rows.clone())).collect();
             let mut g = group_arc.write();
-            let start = g.len();
-            let space = ROW_GROUP_SIZE - start;
-            let count = space.min(chunk.len() - offset);
-            if count == 0 {
-                continue; // another thread filled the group; retry
+            if g.len() != start {
+                continue; // a concurrent append moved the group's end; retry
             }
             for (c, col) in g.columns.iter_mut().enumerate() {
                 col.append_from(chunk.column(c), offset, count)?;
@@ -283,10 +296,9 @@ impl DataTable {
             if let Some(stamps) = g.update_stamps.as_mut() {
                 stamps.extend(std::iter::repeat_n(0u64, count));
             }
-            for c in 0..self.types.len() {
-                for row in offset..offset + count {
-                    let v = chunk.column(c).get_value(row);
-                    g.widen_zone(c, &v);
+            for (c, b) in bounds.iter().enumerate() {
+                if let Some((lo, hi)) = b {
+                    g.widen_zone(c, lo, hi);
                 }
             }
             if g.len() >= ROW_GROUP_SIZE {
@@ -301,10 +313,9 @@ impl DataTable {
                 count,
             });
             // Inserted values participate in conflict detection (phantoms).
-            for c in 0..self.types.len() {
-                for row in offset..offset + count {
-                    let v = chunk.column(c).get_value(row);
-                    state.summary.merge_value(self.id, c, &v);
+            for (c, b) in bounds.into_iter().enumerate() {
+                if let Some((lo, hi)) = b {
+                    state.summary.merge_range(self.id, c, lo, hi);
                 }
             }
             drop(state);
@@ -622,7 +633,7 @@ impl DataTable {
                 g.stamps_mut()[row] = txn.id();
                 let new_v = new_values.get_value(i + k);
                 g.columns[column].set_value(row, &new_v)?;
-                g.widen_zone(column, &new_v);
+                g.widen_zone(column, &new_v, &new_v);
                 g.undo.push(UndoEntry {
                     row: rid.row,
                     column: column as u32,

@@ -85,31 +85,26 @@ impl Value {
         }
     }
 
-    /// Parse a string into a value of logical type `ty` (used by the CSV
-    /// reader and by VARCHAR casts).
+    /// A DOUBLE NaN. It never enters a zone map, a write summary or an
+    /// Arrow batch's min/max: [`Value::total_cmp`] calls it equal to every
+    /// number, so it cannot serve as a bound.
+    pub fn is_nan(&self) -> bool {
+        matches!(self, Value::Double(d) if d.is_nan())
+    }
+
+    /// Parse a string into a value of logical type `ty` (used by VARCHAR
+    /// casts and the CSV sniffer). The per-type helpers below are the single definition of
+    /// text-to-value parsing: [`crate::Vector::push_parsed`], the CSV
+    /// reader's typed path, calls the same ones, so both accept and reject
+    /// exactly the same text with the same messages.
     pub fn parse_as(s: &str, ty: LogicalType) -> Result<Value> {
-        let conv = |e: &str| EiderError::TypeMismatch(format!("could not cast '{s}' to {ty}: {e}"));
         Ok(match ty {
-            LogicalType::Boolean => match s.trim().to_ascii_lowercase().as_str() {
-                "true" | "t" | "1" | "yes" => Value::Boolean(true),
-                "false" | "f" | "0" | "no" => Value::Boolean(false),
-                _ => return Err(conv("not a boolean")),
-            },
-            LogicalType::TinyInt => {
-                Value::TinyInt(s.trim().parse().map_err(|_| conv("not a TINYINT"))?)
-            }
-            LogicalType::SmallInt => {
-                Value::SmallInt(s.trim().parse().map_err(|_| conv("not a SMALLINT"))?)
-            }
-            LogicalType::Integer => {
-                Value::Integer(s.trim().parse().map_err(|_| conv("not an INTEGER"))?)
-            }
-            LogicalType::BigInt => {
-                Value::BigInt(s.trim().parse().map_err(|_| conv("not a BIGINT"))?)
-            }
-            LogicalType::Double => {
-                Value::Double(s.trim().parse().map_err(|_| conv("not a DOUBLE"))?)
-            }
+            LogicalType::Boolean => Value::Boolean(parse_bool(s)?),
+            LogicalType::TinyInt => Value::TinyInt(parse_int(s, ty)?),
+            LogicalType::SmallInt => Value::SmallInt(parse_int(s, ty)?),
+            LogicalType::Integer => Value::Integer(parse_int(s, ty)?),
+            LogicalType::BigInt => Value::BigInt(parse_int(s, ty)?),
+            LogicalType::Double => Value::Double(parse_double(s)?),
             LogicalType::Varchar => Value::Varchar(s.to_string()),
             LogicalType::Date => Value::Date(parse_date(s)?),
             LogicalType::Timestamp => Value::Timestamp(parse_timestamp(s)?),
@@ -229,6 +224,39 @@ impl Value {
             }
         }
     }
+}
+
+fn parse_error(s: &str, ty: LogicalType, why: &str) -> EiderError {
+    EiderError::TypeMismatch(format!("could not cast '{s}' to {ty}: {why}"))
+}
+
+/// BOOLEAN from text: `true`/`t`/`1`/`yes` or `false`/`f`/`0`/`no`, any
+/// case, surrounding whitespace ignored.
+pub(crate) fn parse_bool(s: &str) -> Result<bool> {
+    let t = s.trim();
+    let is = |words: [&str; 4]| words.iter().any(|w| t.eq_ignore_ascii_case(w));
+    if is(["true", "t", "1", "yes"]) {
+        Ok(true)
+    } else if is(["false", "f", "0", "no"]) {
+        Ok(false)
+    } else {
+        Err(parse_error(s, LogicalType::Boolean, "not a boolean"))
+    }
+}
+
+/// An integer of logical type `ty` from text (surrounding whitespace
+/// ignored; out-of-range text is an error, never a wrap).
+pub(crate) fn parse_int<T: std::str::FromStr>(s: &str, ty: LogicalType) -> Result<T> {
+    s.trim().parse().map_err(|_| {
+        let article = if ty == LogicalType::Integer { "an" } else { "a" };
+        parse_error(s, ty, &format!("not {article} {ty}"))
+    })
+}
+
+/// DOUBLE from text (surrounding whitespace ignored; `NaN` and `inf`
+/// accepted).
+pub(crate) fn parse_double(s: &str) -> Result<f64> {
+    s.trim().parse().map_err(|_| parse_error(s, LogicalType::Double, "not a DOUBLE"))
 }
 
 /// Equality matches `sql_cmp == Equal` and, unlike SQL, makes NULL == NULL

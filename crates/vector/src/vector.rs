@@ -8,12 +8,14 @@
 //! [`Vector::encoding`] and use the typed part accessors to stay in the
 //! compressed domain.
 
+use crate::date::{parse_date, parse_timestamp};
 use crate::encoding::{choose, DictRepr, Encoding, ForRepr, Repr, RleRepr, StrDict};
 use crate::error::{EiderError, Result};
 use crate::selection::SelectionVector;
 use crate::types::LogicalType;
 use crate::validity::ValidityMask;
-use crate::value::Value;
+use crate::value::{parse_bool, parse_double, parse_int, Value};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Typed storage behind a [`Vector`].
@@ -542,6 +544,26 @@ impl Vector {
         Ok(())
     }
 
+    /// Append one value parsed from text as this vector's type — the typed
+    /// ingest path (CSV), with no `Value` in between. Accepts and rejects
+    /// exactly what [`Value::parse_as`] does, with the same messages.
+    pub fn push_parsed(&mut self, s: &str) -> Result<()> {
+        let ty = self.ty;
+        match self.flat_mut() {
+            VectorData::Bool(v) => v.push(parse_bool(s)?),
+            VectorData::I8(v) => v.push(parse_int(s, ty)?),
+            VectorData::I16(v) => v.push(parse_int(s, ty)?),
+            VectorData::I32(v) if ty == LogicalType::Date => v.push(parse_date(s)?),
+            VectorData::I32(v) => v.push(parse_int(s, ty)?),
+            VectorData::I64(v) if ty == LogicalType::Timestamp => v.push(parse_timestamp(s)?),
+            VectorData::I64(v) => v.push(parse_int(s, ty)?),
+            VectorData::F64(v) => v.push(parse_double(s)?),
+            VectorData::Str(v) => v.push(s.to_owned()),
+        }
+        self.validity.push(true);
+        Ok(())
+    }
+
     /// Append a NULL (a default value occupies the data slot).
     pub fn push_null(&mut self) {
         self.flat_mut().push_default();
@@ -832,33 +854,70 @@ impl Vector {
         data + self.len().div_ceil(8)
     }
 
-    /// Min and max over valid rows, or `None` if all rows are NULL. This
-    /// powers the per-row-group zone maps used for scan skipping (§6:
-    /// "skip irrelevant blocks of rows during a scan").
-    pub fn min_max(&self) -> Option<(Value, Value)> {
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for row in 0..self.len() {
-            if self.is_null(row) {
-                continue;
+    /// Min and max over the valid rows in `rows`, or `None` when the range
+    /// holds no valid row. This powers the per-row-group zone maps used
+    /// for scan skipping (§6: "skip irrelevant blocks of rows during a
+    /// scan"), the write summaries of conflict detection and the Arrow
+    /// footer's per-batch statistics.
+    ///
+    /// One typed pass per call: integers compare as integers, VARCHAR as
+    /// borrowed `&str`, dictionary vectors by code (equal codes skip the
+    /// string comparison), RLE vectors one value per run and FOR vectors
+    /// their deltas — the encoded form, never [`Vector::data`]. Exactly
+    /// two `Value`s are built. NaN is skipped: it compares equal to every
+    /// number under [`Value::total_cmp`], so a NaN bound would never widen
+    /// again and would prune `x > c` / `x < c` scans that hold matches.
+    /// Ties keep the first row, like a per-row fold under
+    /// [`Value::total_cmp`].
+    pub fn min_max(&self, rows: Range<usize>) -> Option<(Value, Value)> {
+        assert!(rows.end <= self.len(), "min_max range out of bounds");
+        let validity = &self.validity;
+        let all_valid = validity.all_valid();
+        let valid_rows = rows.clone().filter(move |&r| all_valid || validity.is_valid(r));
+        match &self.repr {
+            Repr::Flat(d) => {
+                let (lo, hi) = data_extremes(d, valid_rows)?;
+                Some((value_at(d, self.ty, lo), value_at(d, self.ty, hi)))
             }
-            let v = self.get_value(row);
-            match &min {
-                None => {
-                    min = Some(v.clone());
-                    max = Some(v);
+            Repr::Dict(d) => {
+                // Codes compare through their strings, skipped when equal.
+                let (codes, dict) = (&d.codes, &d.dict);
+                let less = |a: usize, b: usize| {
+                    codes[a] != codes[b] && dict.get(codes[a]) < dict.get(codes[b])
+                };
+                let (lo, hi) = extremes(valid_rows, less)?;
+                Some((
+                    Value::Varchar(dict.get(codes[lo]).to_owned()),
+                    Value::Varchar(dict.get(codes[hi]).to_owned()),
+                ))
+            }
+            Repr::Rle(r) => {
+                if rows.is_empty() {
+                    return None;
                 }
-                Some(_) => {
-                    if v.total_cmp(min.as_ref().unwrap()) == std::cmp::Ordering::Less {
-                        min = Some(v.clone());
+                // A run counts when one of its rows inside `rows` is valid.
+                let runs = (r.run_of(rows.start)..=r.run_of(rows.end - 1)).filter(|&i| {
+                    let (start, end) =
+                        ((r.starts[i] as usize).max(rows.start), r.run_end(i).min(rows.end));
+                    all_valid || (start..end).any(|row| validity.is_valid(row))
+                });
+                let (lo, hi) = data_extremes(&r.values, runs)?;
+                Some((value_at(&r.values, self.ty, lo), value_at(&r.values, self.ty, hi)))
+            }
+            Repr::For(f) => {
+                let deltas = &f.deltas;
+                let (lo, hi) = extremes(valid_rows, |a, b| deltas[a] < deltas[b])?;
+                let value = |row: usize| {
+                    let v = f.frame + deltas[row] as i64;
+                    if self.ty == LogicalType::Timestamp {
+                        Value::Timestamp(v)
+                    } else {
+                        Value::BigInt(v)
                     }
-                    if v.total_cmp(max.as_ref().unwrap()) == std::cmp::Ordering::Greater {
-                        max = Some(v);
-                    }
-                }
+                };
+                Some((value(lo), value(hi)))
             }
         }
-        min.zip(max)
     }
 
     /// Collect all rows as values (testing / display convenience).
@@ -882,6 +941,39 @@ pub fn value_at(data: &VectorData, ty: LogicalType, row: usize) -> Value {
         (VectorData::I64(v), _) => Value::BigInt(v[row]),
         (VectorData::F64(v), _) => Value::Double(v[row]),
         (VectorData::Str(v), _) => Value::Varchar(v[row].clone()),
+    }
+}
+
+/// Positions of the first minimum and the first maximum among `items`
+/// under the strict order `less`, or `None` when `items` is empty.
+fn extremes(
+    mut items: impl Iterator<Item = usize>,
+    less: impl Fn(usize, usize) -> bool,
+) -> Option<(usize, usize)> {
+    let first = items.next()?;
+    let (mut lo, mut hi) = (first, first);
+    for i in items {
+        if less(i, lo) {
+            lo = i;
+        }
+        if less(hi, i) {
+            hi = i;
+        }
+    }
+    Some((lo, hi))
+}
+
+/// [`extremes`] over the rows `rows` of flat data, in each physical type's
+/// native order (strings compare as `&str`); NaN rows are skipped.
+fn data_extremes(data: &VectorData, rows: impl Iterator<Item = usize>) -> Option<(usize, usize)> {
+    match data {
+        VectorData::Bool(v) => extremes(rows, |a, b| !v[a] & v[b]),
+        VectorData::I8(v) => extremes(rows, |a, b| v[a] < v[b]),
+        VectorData::I16(v) => extremes(rows, |a, b| v[a] < v[b]),
+        VectorData::I32(v) => extremes(rows, |a, b| v[a] < v[b]),
+        VectorData::I64(v) => extremes(rows, |a, b| v[a] < v[b]),
+        VectorData::F64(v) => extremes(rows.filter(|&r| !v[r].is_nan()), |a, b| v[a] < v[b]),
+        VectorData::Str(v) => extremes(rows, |a, b| v[a] < v[b]),
     }
 }
 
@@ -975,11 +1067,14 @@ mod tests {
             &[Value::Null, Value::Integer(5), Value::Integer(-2), Value::Null],
         )
         .unwrap();
-        let (min, max) = v.min_max().unwrap();
+        let (min, max) = v.min_max(0..4).unwrap();
         assert_eq!(min, Value::Integer(-2));
         assert_eq!(max, Value::Integer(5));
+        assert_eq!(v.min_max(2..4), Some((Value::Integer(-2), Value::Integer(-2))));
+        assert!(v.min_max(0..1).is_none());
+        assert!(v.min_max(1..1).is_none());
         let all_null = Vector::from_values(LogicalType::Integer, &[Value::Null]).unwrap();
-        assert!(all_null.min_max().is_none());
+        assert!(all_null.min_max(0..1).is_none());
     }
 
     #[test]

@@ -104,6 +104,37 @@ fn steady_state_grouping_allocates_per_chunk_not_per_row() {
 }
 
 #[test]
+fn steady_state_dict_varchar_grouping_does_not_decode_the_dictionary() {
+    use eider_vector::{Encoding, Vector};
+    // 16 distinct strings over 2048 rows: the encoding chooser codes the
+    // column against a dictionary.
+    let names: Vec<Value> =
+        (0..ROWS).map(|i| Value::Varchar(format!("segment-{}", i % 16))).collect();
+    let keys = Vector::from_values(LogicalType::Varchar, &names).unwrap().encode_auto().unwrap();
+    assert_eq!(keys.encoding(), Encoding::Dict);
+    let chunk = DataChunk::from_vectors(vec![keys]).unwrap();
+    let groups = vec![Expr::column(0, LogicalType::Varchar)];
+    let aggs = vec![AggExpr { kind: AggKind::CountStar, arg: None, distinct: false }];
+    let mut table = GroupTable::new(&groups, &aggs);
+    table.update_chunk(&groups, &aggs, &chunk.clone()).unwrap();
+    table.update_chunk(&groups, &aggs, &chunk.clone()).unwrap();
+    assert_eq!(table.len(), 16);
+    // A fresh clone carries no decoded copy of its strings (the decode
+    // cache is not cloned), exactly like a chunk a table scan hands over:
+    // key encoding must copy dictionary fragments by code instead of
+    // decoding, which would clone every one of the 2048 strings.
+    let fresh = chunk.clone();
+    let allocs = allocations(|| {
+        table.update_chunk(&groups, &aggs, &fresh).unwrap();
+    });
+    assert!(
+        allocs < 64,
+        "steady-state dict-coded VARCHAR grouping made {allocs} allocations for {ROWS} rows \
+         (the key encoder decoded the dictionary column)"
+    );
+}
+
+#[test]
 fn steady_state_join_probe_allocates_per_chunk_not_per_row() {
     use eider_coop::compression::CompressionLevel;
     // Build side: 64 keys, one row each.

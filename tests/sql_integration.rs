@@ -368,3 +368,51 @@ fn streaming_cursor_surfaces_mid_stream_errors_and_recovers() {
     let r = conn.query("SELECT count(*) FROM t").unwrap();
     assert_eq!(r.scalar().unwrap(), Value::BigInt(20_000));
 }
+
+fn count_where(conn: &eider::Connection, from: &str, predicate: &str) -> Value {
+    conn.query(&format!("SELECT count(*) FROM {from} WHERE {predicate}")).unwrap().scalar().unwrap()
+}
+
+/// NaN never enters a zone map. It compares equal to every number, so a
+/// NaN first in its row group used to freeze the map at `[NaN, NaN]`:
+/// `x > 5` and `x < 5` pruned the group and lost the 7.0 and 1.0 rows.
+#[test]
+fn nan_does_not_freeze_zone_maps() {
+    for rows in ["(CAST('NaN' AS DOUBLE)), (1.0), (7.0)", "(1.0), (CAST('NaN' AS DOUBLE)), (7.0)"] {
+        let conn = db().connect();
+        conn.execute("CREATE TABLE t (x DOUBLE)").unwrap();
+        conn.execute(&format!("INSERT INTO t VALUES {rows}")).unwrap();
+        assert_eq!(count_where(&conn, "t", "x > 5"), Value::BigInt(1), "{rows}");
+        assert_eq!(count_where(&conn, "t", "x < 5"), Value::BigInt(1), "{rows}");
+    }
+}
+
+/// An UPDATE writing NaN into a group whose column is all NULL must leave
+/// the zone map empty, so later appends still widen it.
+#[test]
+fn nan_update_into_all_null_group_keeps_zone_map_open() {
+    let conn = db().connect();
+    conn.execute("CREATE TABLE t (id INTEGER, x DOUBLE)").unwrap();
+    conn.execute("INSERT INTO t VALUES (1, NULL), (2, NULL)").unwrap();
+    conn.execute("UPDATE t SET x = CAST('NaN' AS DOUBLE) WHERE id = 1").unwrap();
+    conn.execute("INSERT INTO t VALUES (3, 1.0), (4, 7.0)").unwrap();
+    assert_eq!(count_where(&conn, "t", "x > 5"), Value::BigInt(1));
+    assert_eq!(count_where(&conn, "t", "x < 5"), Value::BigInt(1));
+}
+
+/// `read_arrow` prunes record batches on the footer's min/max, which the
+/// export computes with the same kernel as zone maps: NaN stays out.
+#[test]
+fn nan_does_not_freeze_arrow_batch_stats() {
+    let conn = db().connect();
+    conn.execute("CREATE TABLE t (x DOUBLE)").unwrap();
+    conn.execute("INSERT INTO t VALUES (CAST('NaN' AS DOUBLE)), (1.0), (7.0)").unwrap();
+    let path = std::env::temp_dir().join(format!("eider_nan_stats_{}.arrow", std::process::id()));
+    let out = std::fs::File::create(&path).unwrap();
+    conn.query_stream("SELECT x FROM t").unwrap().export_arrow_ipc(out).unwrap();
+    let from = format!("read_arrow('{}')", path.display());
+    let (gt, lt) = (count_where(&conn, &from, "x > 5"), count_where(&conn, &from, "x < 5"));
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(gt, Value::BigInt(1));
+    assert_eq!(lt, Value::BigInt(1));
+}
