@@ -64,6 +64,13 @@ echo "==> benchmarks/e2e: unit tests"
 cargo test --offline --locked -q --no-fail-fast --manifest-path benchmarks/e2e/Cargo.toml
 
 echo "==> benchmarks/e2e: smoke pass (every workload and probe, answers checked)"
-cargo run --release --offline --locked --quiet --manifest-path benchmarks/e2e/Cargo.toml -- --smoke
+# The smoke output must also show that a crash right after an acknowledged
+# Appender commit loses nothing.
+smoke=$(cargo run --release --offline --locked --quiet --manifest-path benchmarks/e2e/Cargo.toml -- --smoke)
+echo "$smoke"
+if ! grep -qE '^metric etl_durable core\.appender_crash_lost_frac 0( |$)' <<<"$smoke"; then
+    echo "FAIL: --smoke did not print 'metric etl_durable core.appender_crash_lost_frac 0'"
+    exit 1
+fi
 
 echo "CI gate passed."

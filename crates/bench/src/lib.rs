@@ -70,9 +70,7 @@ pub fn wrangling_db(rows: usize, missing: f64, seed: u64) -> Result<Arc<Database
     let chunks = Workload::new(seed).wrangling_chunks(rows, missing)?;
     let entry = db.catalog().get_table("t")?;
     let txn = Arc::new(db.txn_manager().begin());
-    for chunk in &chunks {
-        entry.data.append_chunk(&txn, chunk)?;
-    }
+    entry.append(&txn, &chunks)?;
     db.commit_transaction(Arc::try_unwrap(txn).expect("sole owner"))?;
     Ok(db)
 }
@@ -188,14 +186,8 @@ pub fn star_db(orders: usize, customers: u64, seed: u64) -> Result<Arc<Database>
     conn.execute("CREATE TABLE customers (cid BIGINT, name VARCHAR, segment VARCHAR)")?;
     let mut w = Workload::new(seed);
     let txn = Arc::new(db.txn_manager().begin());
-    let entry = db.catalog().get_table("orders")?;
-    for chunk in &w.orders_chunks(orders, customers)? {
-        entry.data.append_chunk(&txn, chunk)?;
-    }
-    let entry = db.catalog().get_table("customers")?;
-    for chunk in &w.customers_chunks(customers)? {
-        entry.data.append_chunk(&txn, chunk)?;
-    }
+    db.catalog().get_table("orders")?.append(&txn, &w.orders_chunks(orders, customers)?)?;
+    db.catalog().get_table("customers")?.append(&txn, &w.customers_chunks(customers)?)?;
     db.commit_transaction(Arc::try_unwrap(txn).expect("sole owner"))?;
     Ok(db)
 }

@@ -7,11 +7,13 @@
 //! bottleneck."
 //!
 //! The API is columnar-first: [`Appender::append_chunk`] hands whole
-//! chunks over by value (no copy, no per-value calls) and the appender
-//! flushes them into the table in row-group-sized bursts, so storage
-//! fills whole row groups at a time. [`Appender::append_row`] is a thin
-//! batching wrapper that stages rows into a chunk for you, and
-//! [`ChunkBuilder`] is the typed column-at-a-time middle ground.
+//! chunks over by value (no per-value calls) and each lands in the table
+//! at once, through the same write path as INSERT and COPY
+//! ([`TableEntry::append`]): cast to the table's types, NOT NULL checked,
+//! and — in a persistent database — logged to the WAL, so the rows are
+//! durable once their transaction commits. [`Appender::append_row`] is a
+//! thin batching wrapper that stages rows into a vector-sized chunk for
+//! you, and [`ChunkBuilder`] is the typed column-at-a-time middle ground.
 //! [`Appender::from_source`] drains any [`TableSource`] — a CSV file, an
 //! Arrow file, anything implementing the scan contract — through the same
 //! path, so bulk file ingest and application handover share one code
@@ -19,46 +21,34 @@
 
 use eider_catalog::TableEntry;
 use eider_etl::{for_each_chunk, TableSource};
-use eider_txn::table::ROW_GROUP_SIZE;
 use eider_txn::Transaction;
 use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value, Vector, VECTOR_SIZE};
 use std::sync::Arc;
 
 /// Chunk-granular appender bound to a table and a transaction. Chunks
-/// accumulate in the appender and land in the table once a full row
-/// group's worth ([`ROW_GROUP_SIZE`] rows) is pending — call
+/// land in the table as they are handed over; rows from
+/// [`append_row`](Appender::append_row) land a vector at a time — call
 /// [`flush`](Appender::flush) (or [`finish`](Appender::finish)) to push
 /// the remainder.
 pub struct Appender {
     entry: Arc<TableEntry>,
     txn: Arc<Transaction>,
-    /// Staging chunk for `append_row`, spilled into `pending` at vector
-    /// granularity.
+    /// Staging chunk for `append_row`, appended at vector granularity.
     row_buffer: DataChunk,
-    /// Validated whole chunks awaiting the next row-group flush.
-    pending: Vec<DataChunk>,
-    pending_rows: usize,
     rows_appended: u64,
 }
 
 impl Appender {
     pub fn new(entry: Arc<TableEntry>, txn: Arc<Transaction>) -> Self {
         let row_buffer = DataChunk::new(&entry.column_types());
-        Appender { entry, txn, row_buffer, pending: Vec::new(), pending_rows: 0, rows_appended: 0 }
+        Appender { entry, txn, row_buffer, rows_appended: 0 }
     }
 
     /// Hand a whole application-filled chunk over — the primary entry
-    /// point and the zero-copy direction: the chunk moves as one unit,
-    /// no per-value calls, and is buffered (not copied) until the next
-    /// row-group flush.
+    /// point: the chunk moves as one unit, with no per-value calls.
     pub fn append_chunk(&mut self, chunk: DataChunk) -> Result<()> {
-        self.stage_row_buffer();
-        self.check_not_null(&chunk)?;
-        self.pending_rows += chunk.len();
-        self.pending.push(chunk);
-        if self.pending_rows >= ROW_GROUP_SIZE {
-            self.flush()?;
-        }
+        self.flush()?;
+        self.rows_appended += self.entry.append(&self.txn, std::slice::from_ref(&chunk))?;
         Ok(())
     }
 
@@ -75,10 +65,7 @@ impl Appender {
         }
         self.row_buffer.append_row(values)?;
         if self.row_buffer.len() >= VECTOR_SIZE {
-            self.stage_row_buffer();
-            if self.pending_rows >= ROW_GROUP_SIZE {
-                self.flush()?;
-            }
+            self.flush()?;
         }
         Ok(())
     }
@@ -91,9 +78,8 @@ impl Appender {
 
     /// Drain an entire [`TableSource`] into `entry` — the shared bulk
     /// path behind CSV/Arrow file loads. Columns are cast to the table's
-    /// declared types where the source's schema differs; chunks flow
-    /// through the same row-group-batched appends as
-    /// [`append_chunk`](Appender::append_chunk). Returns the row count.
+    /// declared types where the source's schema differs. Returns the row
+    /// count.
     pub fn from_source(
         entry: Arc<TableEntry>,
         txn: Arc<Transaction>,
@@ -107,35 +93,32 @@ impl Appender {
     /// Append every chunk of `source` (see
     /// [`from_source`](Appender::from_source)).
     pub fn ingest(&mut self, source: &dyn TableSource) -> Result<()> {
-        let want = self.entry.column_types();
-        if source.column_types().len() != want.len() {
+        let columns = self.entry.columns.len();
+        if source.column_types().len() != columns {
             return Err(EiderError::Bind(format!(
-                "{} has {} columns, table \"{}\" expects {}",
+                "{} has {} columns, table \"{}\" expects {columns}",
                 source.name(),
                 source.column_types().len(),
                 self.entry.name,
-                want.len()
             )));
         }
-        let projection: Vec<usize> = (0..want.len()).collect();
-        for_each_chunk(source, &projection, |chunk| {
-            let chunk = cast_chunk(chunk, &want)?;
-            self.append_chunk(chunk)
-        })
+        let projection: Vec<usize> = (0..columns).collect();
+        for_each_chunk(source, &projection, |chunk| self.append_chunk(chunk))
     }
 
-    /// Push the pending buffer into the table.
+    /// Append the rows staged by [`append_row`](Appender::append_row).
     pub fn flush(&mut self) -> Result<()> {
-        self.stage_row_buffer();
-        for chunk in self.pending.drain(..) {
-            self.rows_appended += chunk.len() as u64;
-            self.entry.data.append_chunk(&self.txn, &chunk)?;
+        if self.row_buffer.is_empty() {
+            return Ok(());
         }
-        self.pending_rows = 0;
+        let chunk =
+            std::mem::replace(&mut self.row_buffer, DataChunk::new(&self.entry.column_types()));
+        self.rows_appended += self.entry.append(&self.txn, std::slice::from_ref(&chunk))?;
         Ok(())
     }
 
-    /// Rows handed to the table so far (excludes still-pending buffers).
+    /// Rows handed to the table so far (excludes rows still staged by
+    /// [`append_row`](Appender::append_row)).
     pub fn rows_appended(&self) -> u64 {
         self.rows_appended
     }
@@ -145,42 +128,6 @@ impl Appender {
         self.flush()?;
         Ok(self.rows_appended)
     }
-
-    fn stage_row_buffer(&mut self) {
-        if self.row_buffer.is_empty() {
-            return;
-        }
-        let chunk =
-            std::mem::replace(&mut self.row_buffer, DataChunk::new(&self.entry.column_types()));
-        self.pending_rows += chunk.len();
-        self.pending.push(chunk); // rows were validated on entry
-    }
-
-    fn check_not_null(&self, chunk: &DataChunk) -> Result<()> {
-        for (c, def) in chunk.columns().iter().zip(&self.entry.columns) {
-            if def.not_null && !c.validity().all_valid() {
-                return Err(EiderError::Constraint(format!(
-                    "NOT NULL constraint violated: column \"{}\"",
-                    def.name
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Cast a chunk's columns to the target schema where they differ.
-fn cast_chunk(chunk: DataChunk, want: &[LogicalType]) -> Result<DataChunk> {
-    if chunk.types() == want {
-        return Ok(chunk);
-    }
-    let columns = chunk
-        .into_columns()
-        .into_iter()
-        .zip(want)
-        .map(|(c, &ty)| if c.logical_type() == ty { Ok(c) } else { c.cast(ty) })
-        .collect::<Result<Vec<_>>>()?;
-    DataChunk::from_vectors(columns)
 }
 
 /// Typed column-at-a-time chunk construction: push values down each
@@ -258,21 +205,22 @@ mod tests {
     }
 
     #[test]
-    fn rows_flush_at_row_group_granularity() {
+    fn rows_land_at_vector_granularity() {
         let (mgr, entry) = setup();
         let txn = Arc::new(mgr.begin());
         let mut app = Appender::new(Arc::clone(&entry), Arc::clone(&txn));
-        for i in 0..(ROW_GROUP_SIZE + 10) {
+        for i in 0..(VECTOR_SIZE + 10) {
             app.append_row(&[Value::Integer(i as i32), Value::Double(0.5)]).unwrap();
         }
-        // One full row group already flushed; the tail is still pending.
-        assert_eq!(entry.data.count_visible(&txn), ROW_GROUP_SIZE);
-        assert_eq!(app.finish().unwrap(), (ROW_GROUP_SIZE + 10) as u64);
-        assert_eq!(entry.data.count_visible(&txn), ROW_GROUP_SIZE + 10);
+        // One full vector already appended; the tail is still staged.
+        assert_eq!(entry.data.count_visible(&txn), VECTOR_SIZE);
+        assert_eq!(app.rows_appended(), VECTOR_SIZE as u64);
+        assert_eq!(app.finish().unwrap(), (VECTOR_SIZE + 10) as u64);
+        assert_eq!(entry.data.count_visible(&txn), VECTOR_SIZE + 10);
     }
 
     #[test]
-    fn chunk_handover_buffers_until_flush() {
+    fn chunk_handover_lands_at_once() {
         let (mgr, entry) = setup();
         let txn = Arc::new(mgr.begin());
         let chunk = DataChunk::from_rows(
@@ -282,11 +230,9 @@ mod tests {
         .unwrap();
         let mut app = Appender::new(Arc::clone(&entry), Arc::clone(&txn));
         app.append_chunk(chunk).unwrap();
-        // Buffered, not yet in the table.
-        assert_eq!(entry.data.count_visible(&txn), 0);
-        assert_eq!(app.rows_appended(), 0);
-        assert_eq!(app.finish().unwrap(), 100);
         assert_eq!(entry.data.count_visible(&txn), 100);
+        assert_eq!(app.rows_appended(), 100);
+        assert_eq!(app.finish().unwrap(), 100);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use eider_exec::ops::drain;
 use eider_sql::plan::LogicalPlan;
 use eider_sql::{optimizer, Binder};
 use eider_txn::Transaction;
-use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value, Vector};
+use eider_vector::{DataChunk, EiderError, LogicalType, Result, Value};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -330,7 +330,7 @@ impl Connection {
                 let entry =
                     self.db.catalog().create_table(&name, columns.clone(), if_not_exists)?;
                 self.db.txn_manager().register_table(&entry.data);
-                self.db.wal_append(&WalRecord::CreateTable { name, columns })?;
+                self.db.log_ddl(&WalRecord::CreateTable { name, columns })?;
                 if let Some(select) = as_select {
                     let insert = LogicalPlan::Insert { entry, input: select };
                     return self.execute_in_txn(txn, insert);
@@ -339,122 +339,47 @@ impl Connection {
             }
             LogicalPlan::DropTable { name, if_exists } => {
                 self.db.catalog().drop_table(&name, if_exists)?;
-                self.db.wal_append(&WalRecord::DropTable { name })?;
+                self.db.log_ddl(&WalRecord::DropTable { name })?;
                 Ok(empty_result())
             }
             LogicalPlan::CreateView { name, sql, or_replace } => {
                 self.db.catalog().create_view(&name, &sql, or_replace)?;
-                self.db.wal_append(&WalRecord::CreateView { name, sql })?;
+                self.db.log_ddl(&WalRecord::CreateView { name, sql })?;
                 Ok(empty_result())
             }
             LogicalPlan::DropView { name, if_exists } => {
                 self.db.catalog().drop_view(&name, if_exists)?;
-                self.db.wal_append(&WalRecord::DropView { name })?;
+                self.db.log_ddl(&WalRecord::DropView { name })?;
                 Ok(empty_result())
             }
             LogicalPlan::Insert { entry, input } => {
-                // Materialize the source so the WAL can log it, then append
-                // under the append lock (faithful physical positions).
+                // Drain first: an INSERT that reads its own table must not
+                // see the rows it appends.
                 let mut child = planner::lower(&self.plan_ctx(), txn, &input)?;
                 let chunks = drain(child.as_mut())?;
-                // Cast to table layout before logging: the WAL image must
-                // be exactly what lands in storage.
-                let types = entry.column_types();
-                let mut cast_chunks = Vec::with_capacity(chunks.len());
-                for chunk in chunks {
-                    let mut cols = Vec::with_capacity(types.len());
-                    for (i, &ty) in types.iter().enumerate() {
-                        let col = chunk.column(i).cast(ty)?;
-                        let def = &entry.columns[i];
-                        if def.not_null && !col.validity().all_valid() {
-                            return Err(EiderError::Constraint(format!(
-                                "NOT NULL constraint violated: column \"{}\" of table \"{}\"",
-                                def.name, entry.name
-                            )));
-                        }
-                        cols.push(col);
-                    }
-                    cast_chunks.push(DataChunk::from_vectors(cols)?);
-                }
-                let mut inserted = 0u64;
-                self.db.with_append_lock(|| {
-                    let mut first_row = entry.data.physical_rows() as u64;
-                    for chunk in &cast_chunks {
-                        self.db.wal_append(&WalRecord::Append {
-                            txn_id: txn.id(),
-                            table: entry.name.clone(),
-                            first_row,
-                            chunk: chunk.clone(),
-                        })?;
-                        entry.data.append_chunk(txn, chunk)?;
-                        first_row += chunk.len() as u64;
-                        inserted += chunk.len() as u64;
-                    }
-                    Ok(())
-                })?;
-                Ok(count_result(inserted))
+                Ok(count_result(entry.append(txn, &chunks)?))
             }
             LogicalPlan::Update { entry, input, columns } => {
+                // The input emits `[new value per SET column..., row id]`.
                 let mut child = planner::lower(&self.plan_ctx(), txn, &input)?;
-                let chunks = drain(child.as_mut())?;
-                let (payloads, rows) = persist::split_row_ids(&chunks)?;
-                // Log one record per assigned column (column-wise, §2).
-                for (k, &col) in columns.iter().enumerate() {
-                    let ty = entry.columns[col].ty;
-                    let mut values = Vector::with_capacity(ty, rows.len());
-                    for p in &payloads {
-                        values.append_from(&p.column(k).cast(ty)?, 0, p.len())?;
+                let mut updated = 0u64;
+                for chunk in drain(child.as_mut())? {
+                    let rows = persist::row_ids(chunk.column(chunk.column_count() - 1))?;
+                    for (k, &column) in columns.iter().enumerate() {
+                        entry.update(txn, &rows, column, chunk.column(k))?;
                     }
-                    self.db.wal_append(&WalRecord::Update {
-                        txn_id: txn.id(),
-                        table: entry.name.clone(),
-                        column: col as u32,
-                        rows: rows.clone(),
-                        values,
-                    })?;
+                    updated += rows.len() as u64;
                 }
-                // Execute through the standard operator.
-                let src = eider_exec::ops::ValuesOp::new(
-                    chunks.first().map(|c| c.types()).unwrap_or_default(),
-                    chunks,
-                );
-                let mut op = eider_exec::ops::UpdateOp::new(
-                    Arc::clone(&entry),
-                    Box::new(src),
-                    Arc::clone(txn),
-                    columns,
-                );
-                let out = drain(&mut op)?;
-                let n = out
-                    .first()
-                    .and_then(|c| c.row_values(0).first().and_then(Value::as_i64))
-                    .unwrap_or(0);
-                Ok(count_result(n as u64))
+                Ok(count_result(updated))
             }
             LogicalPlan::Delete { entry, input } => {
                 let mut child = planner::lower(&self.plan_ctx(), txn, &input)?;
-                let chunks = drain(child.as_mut())?;
-                let (_, rows) = persist::split_row_ids(&chunks)?;
-                self.db.wal_append(&WalRecord::Delete {
-                    txn_id: txn.id(),
-                    table: entry.name.clone(),
-                    rows,
-                })?;
-                let src = eider_exec::ops::ValuesOp::new(
-                    chunks.first().map(|c| c.types()).unwrap_or_default(),
-                    chunks,
-                );
-                let mut op = eider_exec::ops::DeleteOp::new(
-                    Arc::clone(&entry),
-                    Box::new(src),
-                    Arc::clone(txn),
-                );
-                let out = drain(&mut op)?;
-                let n = out
-                    .first()
-                    .and_then(|c| c.row_values(0).first().and_then(Value::as_i64))
-                    .unwrap_or(0);
-                Ok(count_result(n as u64))
+                let mut deleted = 0u64;
+                for chunk in drain(child.as_mut())? {
+                    let rows = persist::row_ids(chunk.column(chunk.column_count() - 1))?;
+                    deleted += entry.delete(txn, &rows)? as u64;
+                }
+                Ok(count_result(deleted))
             }
             LogicalPlan::CopyFrom { entry, path, options } => {
                 let opts = CsvReadOptions {
@@ -465,31 +390,12 @@ impl Connection {
                 };
                 // Fields parse directly as the table's declared types
                 // (no sniff-and-cast); the TableSource drain loop is the
-                // same one behind read_csv and Appender::from_source,
-                // with WAL logging layered on here where it belongs.
+                // same one behind read_csv and Appender::from_source.
                 let source = CsvSource::open(&path, opts)?.with_types(entry.column_types())?;
                 let projection: Vec<usize> = (0..entry.columns.len()).collect();
                 let mut loaded = 0u64;
                 for_each_chunk(&source, &projection, |chunk| {
-                    for (col, def) in chunk.columns().iter().zip(&entry.columns) {
-                        if def.not_null && !col.validity().all_valid() {
-                            return Err(EiderError::Constraint(format!(
-                                "NOT NULL constraint violated loading \"{}\"",
-                                def.name
-                            )));
-                        }
-                    }
-                    self.db.with_append_lock(|| {
-                        let first_row = entry.data.physical_rows() as u64;
-                        self.db.wal_append(&WalRecord::Append {
-                            txn_id: txn.id(),
-                            table: entry.name.clone(),
-                            first_row,
-                            chunk: chunk.clone(),
-                        })?;
-                        entry.data.append_chunk(txn, &chunk)
-                    })?;
-                    loaded += chunk.len() as u64;
+                    loaded += entry.append(txn, std::slice::from_ref(&chunk))?;
                     Ok(())
                 })?;
                 Ok(count_result(loaded))

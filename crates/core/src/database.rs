@@ -59,7 +59,7 @@ impl SessionState {
 
 struct StorageState {
     block_mgr: SingleFileBlockManager,
-    wal: Mutex<WriteAheadLog>,
+    wal: Arc<persist::Wal>,
     /// Blocks occupied by the current checkpoint's meta chain.
     current_chain: Mutex<Vec<u64>>,
     path: PathBuf,
@@ -91,9 +91,6 @@ pub struct Database {
     /// Serializes commit finalization + WAL commit marker (see
     /// `commit_transaction`) and checkpointing.
     commit_lock: Mutex<()>,
-    /// Serializes append-position capture with table appends so WAL
-    /// records carry faithful physical row positions.
-    append_lock: Mutex<()>,
 }
 
 impl Database {
@@ -145,13 +142,10 @@ impl Database {
             // checksum failure on an earlier record.)
         }
         persist::replay_wal(&records, &db.catalog, &db.txn_mgr)?;
-        let wal = WriteAheadLog::open(&wal_path)?;
-        db.storage = Some(StorageState {
-            block_mgr,
-            wal: Mutex::new(wal),
-            current_chain: Mutex::new(chain),
-            path,
-        });
+        // From here on every row write is logged before it applies.
+        let wal = Arc::new(persist::Wal(Mutex::new(WriteAheadLog::open(&wal_path)?)));
+        db.catalog.attach_log(Arc::clone(&wal) as Arc<dyn eider_catalog::WriteLog>)?;
+        db.storage = Some(StorageState { block_mgr, wal, current_chain: Mutex::new(chain), path });
         Ok(Arc::new(db))
     }
 
@@ -183,7 +177,6 @@ impl Database {
             config: Mutex::new(config),
             storage: None,
             commit_lock: Mutex::new(()),
-            append_lock: Mutex::new(()),
         })
     }
 
@@ -345,7 +338,7 @@ impl Database {
 
     /// Current WAL size in bytes (0 for in-memory databases).
     pub fn wal_size(&self) -> u64 {
-        self.storage.as_ref().map_or(0, |s| s.wal.lock().size_bytes())
+        self.storage.as_ref().map_or(0, |s| s.wal.0.lock().size_bytes())
     }
 
     /// Size of the database file in blocks.
@@ -353,19 +346,14 @@ impl Database {
         self.storage.as_ref().map_or(0, |s| s.block_mgr.block_count())
     }
 
-    /// Append a logical record to the WAL (no-op for in-memory databases).
-    pub(crate) fn wal_append(&self, record: &persist::WalRecord) -> Result<()> {
-        if let Some(s) = &self.storage {
-            s.wal.lock().append(&record.encode())?;
+    /// Log a DDL record and fsync it (no-op for in-memory databases): a
+    /// catalog change applies at once, outside any transaction, so it is
+    /// durable when its statement returns.
+    pub(crate) fn log_ddl(&self, record: &persist::WalRecord) -> Result<()> {
+        match &self.storage {
+            Some(s) => s.wal.log_synced(record),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    /// Run `f` while holding the append lock, so captured physical row
-    /// positions match the actual append order.
-    pub(crate) fn with_append_lock<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        let _guard = self.append_lock.lock();
-        f()
     }
 
     /// Commit a transaction: finalize in memory, then make it durable.
@@ -380,9 +368,7 @@ impl Database {
         let commit_ts = txn.commit()?;
         if had_writes {
             if let Some(s) = &self.storage {
-                let mut wal = s.wal.lock();
-                wal.append(&persist::WalRecord::Commit { txn_id }.encode())?;
-                wal.sync()?;
+                s.wal.log_synced(&persist::WalRecord::Commit { txn_id })?;
             }
         }
         drop(_guard);
@@ -391,7 +377,12 @@ impl Database {
         if had_writes {
             let threshold = self.config.lock().wal_autocheckpoint;
             if threshold > 0 && self.wal_size() > threshold {
-                self.checkpoint()?;
+                match self.checkpoint() {
+                    // Another transaction is mid-write; a later commit
+                    // checkpoints instead.
+                    Err(EiderError::Transaction(_)) => {}
+                    other => other?,
+                }
             }
         }
         Ok(commit_ts)
@@ -400,6 +391,10 @@ impl Database {
     /// Write a checkpoint: serialize the committed image into fresh blocks,
     /// atomically switch the header root, free the old chain, truncate the
     /// WAL (§6's checkpoint protocol).
+    ///
+    /// Fails with [`EiderError::Transaction`] while any transaction holds
+    /// uncommitted writes: truncating the WAL would drop their records, so
+    /// their commit could not be durable. Row writes wait until it is done.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(s) = &self.storage else {
             return Ok(()); // nothing to do in memory
@@ -412,6 +407,12 @@ impl Database {
             ));
         }
         let _guard = self.commit_lock.lock();
+        let _writes = self.catalog.lock_writes();
+        if self.txn_mgr.open_writers() > 0 {
+            return Err(EiderError::Transaction(
+                "cannot checkpoint while a transaction has uncommitted writes".into(),
+            ));
+        }
         let txn = self.txn_mgr.begin();
         let (root, new_blocks) = persist::write_checkpoint(&self.catalog, &txn, &s.block_mgr)?;
         let mut header = s.block_mgr.current_header();
@@ -424,7 +425,7 @@ impl Database {
             s.block_mgr.free_block(b);
         }
         *chain = new_blocks;
-        s.wal.lock().reset()?;
+        s.wal.0.lock().reset()?;
         txn.commit()?;
         Ok(())
     }

@@ -424,10 +424,11 @@ impl Expr {
             Expr::Compare { op, left, right } => {
                 let l = left.evaluate_row(row)?;
                 let r = right.evaluate_row(row)?;
-                Ok(match l.sql_cmp(&r) {
-                    Some(ord) => Value::Boolean(op.evaluate(ord)),
-                    None => Value::Null,
-                })
+                if l.is_null() || r.is_null() {
+                    return Ok(Value::Null);
+                }
+                // NaN is unordered: every comparison with it is false.
+                Ok(Value::Boolean(l.sql_cmp(&r).is_some_and(|ord| op.evaluate(ord))))
             }
             Expr::And(children) => {
                 let mut saw_null = false;
@@ -592,8 +593,8 @@ pub fn filter_selection(flags: &Vector) -> Result<SelectionVector> {
 macro_rules! cmp_kernel {
     ($l:expr, $r:expr, $op:expr, $out:expr, $lv:expr, $rv:expr) => {{
         for i in 0..$l.len() {
-            let ord = $l[i].partial_cmp(&$r[i]).unwrap_or(Ordering::Equal);
-            $out.push($op.evaluate(ord));
+            // NaN is unordered: every comparison with it is false.
+            $out.push($l[i].partial_cmp(&$r[i]).is_some_and(|ord| $op.evaluate(ord)));
         }
     }};
 }
@@ -625,13 +626,10 @@ fn compare_vectors(op: CmpOp, left: &Vector, right: &Vector) -> Result<Vector> {
             // Mixed types: value-wise with numeric promotion.
             for i in 0..n {
                 let (lv, rv) = (left.get_value(i), right.get_value(i));
-                match lv.sql_cmp(&rv) {
-                    Some(ord) => flags.push(op.evaluate(ord)),
-                    None => {
-                        flags.push(false);
-                        validity.set_invalid(i);
-                    }
+                if lv.is_null() || rv.is_null() {
+                    validity.set_invalid(i);
                 }
+                flags.push(lv.sql_cmp(&rv).is_some_and(|ord| op.evaluate(ord)));
             }
         }
     }

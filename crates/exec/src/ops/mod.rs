@@ -6,7 +6,6 @@ pub mod agg;
 pub mod basic;
 pub mod join;
 pub mod merge_join;
-pub mod modify;
 pub mod scan;
 pub mod sort;
 
@@ -14,7 +13,6 @@ pub use agg::{AggExpr, HashAggregateOp, SimpleAggregateOp};
 pub use basic::{FilterOp, LimitOp, ProjectionOp, ValuesOp};
 pub use join::{BuildSide, CrossProductOp, HashJoinOp, JoinType, NestedLoopJoinOp};
 pub use merge_join::MergeJoinOp;
-pub use modify::{DeleteOp, UpdateOp};
 pub use scan::{SourceScanOp, TableScanOp};
 pub use sort::{ExternalSortOp, SortKey};
 

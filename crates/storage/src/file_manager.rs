@@ -27,7 +27,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"EIDERDB\0";
-const FORMAT_VERSION: u64 = 1;
+/// Version 2 images keep dead row positions; version 1 ones are refused.
+const FORMAT_VERSION: u64 = 2;
 /// Number of file slots before data blocks (main header + two db headers).
 const RESERVED_SLOTS: u64 = 3;
 

@@ -17,6 +17,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Append-only, checksummed record log.
+#[derive(Debug)]
 pub struct WriteAheadLog {
     path: PathBuf,
     writer: BufWriter<File>,

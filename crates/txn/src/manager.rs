@@ -12,7 +12,7 @@ use crate::table::DataTable;
 use eider_vector::{EiderError, Result, Value};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Transaction ids live above this bound; commit timestamps below it.
@@ -134,6 +134,8 @@ pub struct Transaction {
     mgr: Arc<TransactionManager>,
     pub(crate) state: Mutex<TxnState>,
     finished: AtomicBool,
+    /// Set by the first table write (see [`TransactionManager::open_writers`]).
+    wrote: AtomicBool,
 }
 
 impl std::fmt::Debug for Transaction {
@@ -164,6 +166,13 @@ impl Transaction {
     /// True if this transaction has performed any write.
     pub fn is_read_write(&self) -> bool {
         self.state.lock().has_writes()
+    }
+
+    /// Every [`DataTable`] write calls this before it mutates anything.
+    pub(crate) fn note_write(&self) {
+        if !self.wrote.swap(true, Ordering::SeqCst) {
+            self.mgr.open_writers.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     fn check_active(&self) -> Result<()> {
@@ -268,6 +277,9 @@ impl Transaction {
 
     fn finish(&self) {
         self.finished.store(true, Ordering::Release);
+        if self.wrote.load(Ordering::SeqCst) {
+            self.mgr.open_writers.fetch_sub(1, Ordering::SeqCst);
+        }
         self.mgr.active.lock().remove(&self.id);
     }
 }
@@ -290,6 +302,8 @@ pub struct TransactionManager {
     clock: AtomicU64,
     next_txn_id: AtomicU64,
     active: Mutex<BTreeMap<u64, u64>>,
+    /// Live transactions that have written to a table.
+    open_writers: AtomicUsize,
     commit_log: RwLock<Vec<CommitRecord>>,
     commit_lock: Mutex<()>,
     /// Tables registered for garbage collection.
@@ -302,6 +316,7 @@ impl Default for TransactionManager {
             clock: AtomicU64::new(1),
             next_txn_id: AtomicU64::new(TXN_ID_START),
             active: Mutex::new(BTreeMap::new()),
+            open_writers: AtomicUsize::new(0),
             commit_log: RwLock::new(Vec::new()),
             commit_lock: Mutex::new(()),
             tables: Mutex::new(Vec::new()),
@@ -325,6 +340,7 @@ impl TransactionManager {
             mgr: Arc::clone(self),
             state: Mutex::new(TxnState::default()),
             finished: AtomicBool::new(false),
+            wrote: AtomicBool::new(false),
         }
     }
 
@@ -335,6 +351,12 @@ impl TransactionManager {
 
     pub fn active_count(&self) -> usize {
         self.active.lock().len()
+    }
+
+    /// Live transactions that have written to a table and not yet
+    /// committed or rolled back.
+    pub fn open_writers(&self) -> usize {
+        self.open_writers.load(Ordering::SeqCst)
     }
 
     /// Register a table for version garbage collection.
@@ -381,6 +403,28 @@ mod tests {
         t1.commit().unwrap();
         t2.rollback().unwrap();
         assert_eq!(mgr.active_count(), 0);
+    }
+
+    #[test]
+    fn open_writers_counts_live_transactions_that_wrote() {
+        let mgr = TransactionManager::new();
+        let table = DataTable::new(vec![eider_vector::LogicalType::Integer]);
+        let chunk = eider_vector::DataChunk::from_rows(
+            &[eider_vector::LogicalType::Integer],
+            &[vec![Value::Integer(1)]],
+        )
+        .unwrap();
+        let reader = mgr.begin();
+        let (w1, w2) = (mgr.begin(), mgr.begin());
+        table.append_chunk(&w1, &chunk).unwrap();
+        table.append_chunk(&w1, &chunk).unwrap();
+        table.append_chunk(&w2, &chunk).unwrap();
+        assert_eq!(mgr.open_writers(), 2);
+        w1.commit().unwrap();
+        drop(w2);
+        assert_eq!(mgr.open_writers(), 0);
+        reader.commit().unwrap();
+        assert_eq!(mgr.open_writers(), 0);
     }
 
     #[test]

@@ -72,7 +72,9 @@ struct RowGroupInner {
     delete_ids: Vec<u64>,
     /// Lazily allocated: most groups are never updated.
     update_stamps: Option<Vec<u64>>,
-    undo: Vec<UndoEntry>,
+    /// Undo entries bucketed by vector-sized window (`row / VECTOR_SIZE`),
+    /// so a scan walks only its window's entries, not the whole group's.
+    undo: Vec<Vec<UndoEntry>>,
     /// Per column: (min, max) over all non-NULL, non-NaN values ever
     /// present. Only widened, never narrowed, so it stays conservative
     /// w.r.t. undo reconstruction.
@@ -86,7 +88,7 @@ impl RowGroupInner {
             insert_ids: Vec::new(),
             delete_ids: Vec::new(),
             update_stamps: None,
-            undo: Vec::new(),
+            undo: (0..ROW_GROUP_SIZE.div_ceil(VECTOR_SIZE)).map(|_| Vec::new()).collect(),
             zone_maps: vec![None; types.len()],
         }
     }
@@ -265,6 +267,7 @@ impl DataTable {
             )));
         }
         self.note_mutation();
+        txn.note_write();
         let mut offset = 0usize;
         while offset < chunk.len() {
             // Find (or create) a group with space.
@@ -393,7 +396,7 @@ impl DataTable {
             }
         };
         let g = group_arc.read();
-        if !g.undo.is_empty() || g.len() == 0 {
+        if g.undo.iter().any(|w| !w.is_empty()) || g.len() == 0 {
             return false;
         }
         filters.iter().any(|f| match &g.zone_maps[f.column] {
@@ -425,7 +428,8 @@ impl DataTable {
                 }
             };
             let g = group_arc.read();
-            if !state.zone_checked && !opts.filters.is_empty() && g.undo.is_empty() {
+            let has_undo = g.undo.iter().any(|w| !w.is_empty());
+            if !state.zone_checked && !opts.filters.is_empty() && !has_undo {
                 // Zone-map skipping for the whole group. Groups with undo
                 // entries still pass (maps only widen, so this is already
                 // conservative; the check is just belt-and-braces).
@@ -486,9 +490,10 @@ impl DataTable {
                 }
             }
             let mut window: Vec<(usize, Vector)> = Vec::with_capacity(needed.len());
+            let undo = &g.undo[lo / VECTOR_SIZE..=(hi - 1) / VECTOR_SIZE];
             for &c in &needed {
                 let mut vec = g.columns[c].slice(lo, hi - lo);
-                for entry in g.undo.iter().rev() {
+                for entry in undo.iter().flat_map(|w| w.iter().rev()) {
                     if entry.column as usize == c
                         && (entry.row as usize) >= lo
                         && (entry.row as usize) < hi
@@ -590,6 +595,7 @@ impl DataTable {
             return Err(EiderError::Internal(format!("no column {column}")));
         }
         self.note_mutation();
+        txn.note_write();
         let mut updated = 0usize;
         let mut i = 0usize;
         while i < rows.len() {
@@ -625,7 +631,17 @@ impl DataTable {
                     ));
                 }
             }
-            let mut state = txn.state.lock();
+            // Old and new values' range (NULL and NaN left out, as the
+            // write summary does), merged into the summary once the group
+            // lock is released: readers wait on that lock.
+            let mut written: Option<(Value, Value)> = None;
+            let mut widen = |v: &Value| match &mut written {
+                _ if v.is_null() || v.is_nan() => {}
+                Some((lo, _)) if v.total_cmp(lo).is_lt() => *lo = v.clone(),
+                Some((_, hi)) if v.total_cmp(hi).is_gt() => *hi = v.clone(),
+                Some(_) => {}
+                None => written = Some((v.clone(), v.clone())),
+            };
             for (k, rid) in rows[i..j].iter().enumerate() {
                 let row = rid.row as usize;
                 let prior = g.columns[column].get_value(row);
@@ -634,20 +650,24 @@ impl DataTable {
                 let new_v = new_values.get_value(i + k);
                 g.columns[column].set_value(row, &new_v)?;
                 g.widen_zone(column, &new_v, &new_v);
-                g.undo.push(UndoEntry {
+                widen(&prior);
+                widen(&new_v);
+                g.undo[row / VECTOR_SIZE].push(UndoEntry {
                     row: rid.row,
                     column: column as u32,
-                    prior: prior.clone(),
+                    prior,
                     prior_stamp,
                     ts: txn.id(),
                 });
-                state.summary.merge_value(self.id, column, &prior);
-                state.summary.merge_value(self.id, column, &new_v);
                 updated += 1;
+            }
+            drop(g);
+            let mut state = txn.state.lock();
+            if let Some((lo, hi)) = written {
+                state.summary.merge_range(self.id, column, lo, hi);
             }
             state.note_updated_group(self, group_idx as usize);
             drop(state);
-            drop(g);
             i = j;
         }
         Ok(updated)
@@ -656,6 +676,7 @@ impl DataTable {
     /// Delete rows (§2 bulk deletes). First-updater-wins conflicts apply.
     pub fn delete_rows(self: &Arc<Self>, txn: &Transaction, rows: &[RowId]) -> Result<usize> {
         self.note_mutation();
+        txn.note_write();
         let mut deleted = 0usize;
         let mut i = 0usize;
         while i < rows.len() {
@@ -745,7 +766,7 @@ impl DataTable {
         let group_arc = Arc::clone(&self.groups.read()[group]);
         let mut g = group_arc.write();
         let mut rows = Vec::new();
-        for entry in g.undo.iter_mut() {
+        for entry in g.undo.iter_mut().flatten() {
             if entry.ts == txn_id {
                 entry.ts = commit_ts;
                 rows.push(entry.row as usize);
@@ -766,17 +787,16 @@ impl DataTable {
         // Walk newest-to-oldest restoring prior values and stamps; the
         // final restoration for a row is its oldest entry, i.e. the state
         // at transaction start.
-        let mut i = g.undo.len();
-        while i > 0 {
-            i -= 1;
-            if g.undo[i].ts == txn_id {
-                let row = g.undo[i].row as usize;
-                let col = g.undo[i].column as usize;
-                let prior = g.undo[i].prior.clone();
-                let prior_stamp = g.undo[i].prior_stamp;
-                let _ = g.columns[col].set_value(row, &prior);
-                g.stamps_mut()[row] = prior_stamp;
-                g.undo.remove(i);
+        for w in 0..g.undo.len() {
+            let mut i = g.undo[w].len();
+            while i > 0 {
+                i -= 1;
+                if g.undo[w][i].ts == txn_id {
+                    let entry = g.undo[w].remove(i);
+                    let row = entry.row as usize;
+                    let _ = g.columns[entry.column as usize].set_value(row, &entry.prior);
+                    g.stamps_mut()[row] = entry.prior_stamp;
+                }
             }
         }
     }
@@ -804,16 +824,18 @@ impl DataTable {
         let mut reclaimed = 0;
         for group in groups {
             let mut g = group.write();
-            let before = g.undo.len();
-            g.undo.retain(|e| !(e.ts < TXN_ID_START && e.ts <= horizon));
-            reclaimed += before - g.undo.len();
+            for window in &mut g.undo {
+                let before = window.len();
+                window.retain(|e| !(e.ts < TXN_ID_START && e.ts <= horizon));
+                reclaimed += before - window.len();
+            }
         }
         reclaimed
     }
 
     /// Total undo entries currently held (test/diagnostic handle).
     pub fn undo_len(&self) -> usize {
-        self.groups.read().iter().map(|g| g.read().undo.len()).sum()
+        self.groups.read().iter().map(|g| g.read().undo.iter().map(Vec::len).sum::<usize>()).sum()
     }
 
     /// Zone map of a column in a group, if any (test/diagnostic handle).

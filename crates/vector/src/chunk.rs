@@ -121,11 +121,6 @@ impl DataChunk {
         DataChunk { columns: self.columns.iter().map(|c| c.slice(offset, count)).collect() }
     }
 
-    /// Keep only the listed columns, in order (projection).
-    pub fn project(&self, indexes: &[usize]) -> DataChunk {
-        DataChunk { columns: indexes.iter().map(|&i| self.columns[i].clone()).collect() }
-    }
-
     pub fn clear(&mut self) {
         for c in &mut self.columns {
             c.clear();
@@ -226,15 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn select_and_project() {
+    fn select_keeps_rows_in_selection_order() {
         let c = sample();
         let sel = SelectionVector::from_indexes(vec![2, 0]);
         let s = c.select(&sel);
         assert_eq!(s.row_values(0)[0], Value::Integer(3));
         assert_eq!(s.row_values(1)[0], Value::Integer(1));
-        let p = c.project(&[1]);
-        assert_eq!(p.column_count(), 1);
-        assert_eq!(p.column(0).logical_type(), LogicalType::Varchar);
     }
 
     #[test]

@@ -175,8 +175,11 @@ impl Value {
         }
     }
 
-    /// SQL comparison: returns `None` if either side is NULL, otherwise the
-    /// ordering under numeric promotion (strings compare lexicographically).
+    /// SQL comparison: returns `None` if either side is NULL or NaN,
+    /// otherwise the ordering under numeric promotion (strings compare
+    /// lexicographically). A comparison with NaN is unordered, so no
+    /// comparison operator selects a NaN row — the same answer zone maps
+    /// give, which never hold NaN.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         if self.is_null() || other.is_null() {
             return None;
@@ -185,8 +188,7 @@ impl Value {
             (Value::Varchar(a), Value::Varchar(b)) => Some(a.cmp(b)),
             (Value::Boolean(a), Value::Boolean(b)) => Some(a.cmp(b)),
             (Value::Double(_), _) | (_, Value::Double(_)) => {
-                let (a, b) = (self.as_f64()?, other.as_f64()?);
-                a.partial_cmp(&b).or(Some(Ordering::Equal))
+                self.as_f64()?.partial_cmp(&other.as_f64()?)
             }
             _ => Some(self.as_i64()?.cmp(&other.as_i64()?)),
         }
@@ -385,6 +387,10 @@ mod tests {
         assert_eq!(Value::Integer(5).sql_cmp(&Value::BigInt(5)), Some(Ordering::Equal));
         assert_eq!(Value::TinyInt(3).sql_cmp(&Value::Double(3.5)), Some(Ordering::Less));
         assert_eq!(Value::Null.sql_cmp(&Value::Integer(1)), None);
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(nan.sql_cmp(&Value::Integer(1)), None);
+        assert_eq!(Value::Double(1.0).sql_cmp(&nan), None);
+        assert_eq!(nan.sql_cmp(&nan), None);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn arb_int() -> impl Strategy<Value = Value> {
 
 fn arb_double() -> impl Strategy<Value = Value> {
     // Finite doubles; NaN's `total_cmp` is not an order to begin with
-    // (`sql_cmp` collapses it to Equal), so it is out of scope here.
+    // (it compares equal to every number), so it is out of scope here.
     prop_oneof![(-1e300f64..1e300).prop_map(Value::Double), Just(Value::Null)]
 }
 

@@ -373,8 +373,8 @@ fn count_where(conn: &eider::Connection, from: &str, predicate: &str) -> Value {
     conn.query(&format!("SELECT count(*) FROM {from} WHERE {predicate}")).unwrap().scalar().unwrap()
 }
 
-/// NaN never enters a zone map. It compares equal to every number, so a
-/// NaN first in its row group used to freeze the map at `[NaN, NaN]`:
+/// NaN never enters a zone map. A NaN first in its row group used to
+/// freeze the map at `[NaN, NaN]`:
 /// `x > 5` and `x < 5` pruned the group and lost the 7.0 and 1.0 rows.
 #[test]
 fn nan_does_not_freeze_zone_maps() {
@@ -415,4 +415,43 @@ fn nan_does_not_freeze_arrow_batch_stats() {
     std::fs::remove_file(&path).unwrap();
     assert_eq!(gt, Value::BigInt(1));
     assert_eq!(lt, Value::BigInt(1));
+}
+
+/// Every comparison with NaN is false, so no comparison selects a NaN row,
+/// whichever rows share its row group: the filter kernels agree with the
+/// zone maps, which never hold NaN.
+#[test]
+fn comparisons_with_nan_select_nothing() {
+    let holds = |op: &str, a: f64, b: f64| match op {
+        "=" => a == b,
+        "<" => a < b,
+        "<=" => a <= b,
+        ">" => a > b,
+        ">=" => a >= b,
+        _ => a != b,
+    };
+    for rows in ["(CAST('NaN' AS DOUBLE)), (1.0), (7.0)", "(1.0), (CAST('NaN' AS DOUBLE)), (7.0)"] {
+        let conn = db().connect();
+        conn.execute("CREATE TABLE t (x DOUBLE)").unwrap();
+        conn.execute(&format!("INSERT INTO t VALUES {rows}")).unwrap();
+        for op in ["=", "<", "<=", ">", ">=", "<>"] {
+            for c in [-100.0, 1.0, 4.0, 7.0, 100.0] {
+                let want = [1.0, 7.0].iter().filter(|&&x| holds(op, x, c)).count() as i64;
+                let want = Value::BigInt(want);
+                // Pushed into the scan, and evaluated as an expression.
+                assert_eq!(
+                    count_where(&conn, "t", &format!("x {op} {c}")),
+                    want,
+                    "{rows} {op} {c}"
+                );
+                let expr = format!("x + 0 {op} {c}");
+                assert_eq!(count_where(&conn, "t", &expr), want, "{rows} {expr}");
+            }
+        }
+        assert_eq!(count_where(&conn, "t", "x IN (1, 100)"), Value::BigInt(1), "{rows}");
+        // As a value, a comparison with NaN is false, not NULL.
+        let r = conn.query("SELECT x, x = 1, x <> 1, x >= 1 FROM t").unwrap().to_rows();
+        let nan = r.iter().find(|row| matches!(row[0], Value::Double(x) if x.is_nan())).unwrap();
+        assert_eq!(nan[1..], vec![Value::Boolean(false); 3], "{rows}");
+    }
 }
