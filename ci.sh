@@ -36,10 +36,10 @@ echo "==> serial/parallel equivalence: integration suites at 1, 2, 4 and 8 worke
 # EIDER_THREADS pins the default worker cap, so every query in these
 # suites (not just the ones that set PRAGMA threads) runs serial once and
 # morsel-parallel three times, on any host including 1-core CI runners.
-EIDER_THREADS=1 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
-EIDER_THREADS=2 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
-EIDER_THREADS=4 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
-EIDER_THREADS=8 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration
+EIDER_THREADS=1 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration --test encoded_equivalence
+EIDER_THREADS=2 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration --test encoded_equivalence
+EIDER_THREADS=4 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration --test encoded_equivalence
+EIDER_THREADS=8 cargo test -q --no-fail-fast --test parallel_execution --test sql_integration --test encoded_equivalence
 
 echo "==> multi-session concurrency harness at 1, 2, 4 and 8 workers"
 # The deterministic session storm: N concurrent connections must observe

@@ -16,6 +16,7 @@ use eider_coop::compression::CompressionLevel;
 use eider_etl::csv::{CsvReadOptions, CsvSource, CsvWriter};
 use eider_etl::for_each_chunk;
 use eider_exec::ops::drain;
+use eider_sql::ast::Statement;
 use eider_sql::plan::LogicalPlan;
 use eider_sql::{optimizer, Binder};
 use eider_txn::Transaction;
@@ -105,16 +106,53 @@ impl Connection {
     /// assert_eq!(rows, 2);
     /// ```
     pub fn query_stream(&self, sql: &str) -> Result<ResultCursor> {
-        let statements = eider_sql::parse_statements(sql)?;
+        let statements = eider_sql::parse_statements(sql);
+        let statements = self.fail_statement(statements)?;
         let Some((last, rest)) = statements.split_last() else {
             return Err(EiderError::Parse("empty statement".into()));
         };
         for stmt in rest {
             self.run_statement(stmt)?;
         }
-        let plan = Binder::new(Arc::clone(self.db.catalog())).bind_statement(last)?;
-        let plan = self.optimize_plan(plan)?;
-        self.stream_plan(plan)
+        self.statement(last, |stmt| {
+            let plan = Binder::new(Arc::clone(self.db.catalog())).bind_statement(stmt)?;
+            self.stream_plan(self.optimize_plan(plan)?)
+        })
+    }
+
+    /// Run one statement under the failed-statement rule: once a statement
+    /// fails inside an explicit transaction, the transaction is doomed.
+    /// Every later statement but COMMIT and ROLLBACK is refused with
+    /// [`EiderError::Transaction`], and COMMIT rolls back (see
+    /// [`Transaction::commit`]). The failures of BEGIN, COMMIT and ROLLBACK
+    /// themselves doom nothing.
+    fn statement<T>(
+        &self,
+        stmt: &Statement,
+        run: impl FnOnce(&Statement) -> Result<T>,
+    ) -> Result<T> {
+        if matches!(stmt, Statement::Begin | Statement::Commit | Statement::Rollback) {
+            return run(stmt);
+        }
+        if self.current_txn.lock().as_ref().is_some_and(|txn| txn.is_doomed()) {
+            return Err(EiderError::Transaction(
+                "a statement failed in this transaction: only ROLLBACK (or COMMIT, \
+                 which rolls back) can follow"
+                    .into(),
+            ));
+        }
+        let result = run(stmt);
+        self.fail_statement(result)
+    }
+
+    /// Doom the explicit transaction, if any, when `result` is an error.
+    fn fail_statement<T>(&self, result: Result<T>) -> Result<T> {
+        if result.is_err() {
+            if let Some(txn) = &*self.current_txn.lock() {
+                txn.doom();
+            }
+        }
+        result
     }
 
     /// Apply the logical optimizer unless this session disabled it.
@@ -181,10 +219,11 @@ impl Connection {
         self.current_txn.lock().is_some()
     }
 
-    fn run_statement(&self, stmt: &eider_sql::ast::Statement) -> Result<MaterializedResult> {
-        let plan = Binder::new(Arc::clone(self.db.catalog())).bind_statement(stmt)?;
-        let plan = self.optimize_plan(plan)?;
-        self.run_plan(plan)
+    fn run_statement(&self, stmt: &Statement) -> Result<MaterializedResult> {
+        self.statement(stmt, |stmt| {
+            let plan = Binder::new(Arc::clone(self.db.catalog())).bind_statement(stmt)?;
+            self.run_plan(self.optimize_plan(plan)?)
+        })
     }
 
     fn run_plan(&self, plan: LogicalPlan) -> Result<MaterializedResult> {

@@ -189,8 +189,12 @@ impl ResultCursor {
                 Ok(None)
             }
             Some(Err(e)) => {
-                // Executor failure: wind down and roll back; the stream is
-                // closed from here on.
+                // Executor failure: wind down and roll back (an explicit
+                // transaction is doomed instead, see `Connection`); the
+                // stream is closed from here on.
+                if let Some(txn) = self.txn.as_ref().filter(|_| !self.auto) {
+                    txn.doom();
+                }
                 let _ = self.finish(false);
                 Err(e)
             }

@@ -301,18 +301,38 @@ fn write_flat_data(w: &mut BinWriter, data: &VectorData) {
 /// bitmap][data]`. Encoded vectors serialize their compressed form
 /// directly — `[tag | 0x80][encoding][row count][nulls][payload]` — so
 /// dictionary/RLE/FOR columns spill and checkpoint at compressed size and
-/// reload still encoded.
+/// reload still encoded. A dictionary with more entries than the vector
+/// has rows (a slice of a row group's dictionary) is written as only the
+/// entries its codes use, renumbered in order of first use, so no frame
+/// carries more strings than rows.
 pub fn write_vector(w: &mut BinWriter, v: &Vector) {
     let tag = type_to_tag(v.logical_type());
     if let Some((dict, codes)) = v.dict_parts() {
         w.write_u8(tag | ENCODED_FLAG);
         w.write_u8(ENC_DICT);
         write_len_and_nulls(w, v);
-        w.write_u32(dict.len() as u32);
-        for s in dict.values() {
-            w.write_str(s);
+        if dict.len() <= codes.len() {
+            w.write_u32(dict.len() as u32);
+            for s in dict.values() {
+                w.write_str(s);
+            }
+            codes.iter().for_each(|&c| w.write_u32(c));
+            return;
         }
-        codes.iter().for_each(|&c| w.write_u32(c));
+        const UNUSED: u32 = u32::MAX;
+        let mut remap = vec![UNUSED; dict.len()];
+        let mut used = Vec::new();
+        for &c in codes {
+            if remap[c as usize] == UNUSED {
+                remap[c as usize] = used.len() as u32;
+                used.push(c);
+            }
+        }
+        w.write_u32(used.len() as u32);
+        for &c in &used {
+            w.write_str(dict.get(c));
+        }
+        codes.iter().for_each(|&c| w.write_u32(remap[c as usize]));
         return;
     }
     if let Some((runs, starts)) = v.rle_parts() {
@@ -622,6 +642,31 @@ mod tests {
             assert_eq!(back.encoding(), want, "deserialized vector stays encoded");
             assert_eq!(back.to_values(), v.to_values());
         }
+    }
+
+    /// A 2048-row slice of a 25,000-entry dictionary (a row group's,
+    /// shared by every scan slice) carries only the entries it uses.
+    #[test]
+    fn dict_slice_serializes_only_the_entries_it_uses() {
+        use eider_vector::Encoding;
+        let entries: Vec<String> = (0..25_000).map(|i| format!("customer_{i:05}")).collect();
+        let dict = std::sync::Arc::new(StrDict::new(entries));
+        let codes: Vec<u32> = (0..2048u32).map(|i| (i * 7_919) % 25_000 % 600 * 41).collect();
+        let mut validity = ValidityMask::new_all_valid(codes.len());
+        validity.set_invalid(3);
+        let coded = Vector::from_dict(LogicalType::Varchar, dict, codes, validity).unwrap();
+        let mut plain = coded.clone();
+        plain.flatten();
+        let (mut w, mut plain_w) = (BinWriter::new(), BinWriter::new());
+        write_vector(&mut w, &coded);
+        write_vector(&mut plain_w, &plain);
+        assert!(w.len() <= plain_w.len(), "coded {} > plain {}", w.len(), plain_w.len());
+        let bytes = w.into_bytes();
+        let back = read_vector(&mut BinReader::new(&bytes)).unwrap();
+        assert_eq!(back.encoding(), Encoding::Dict);
+        assert_eq!(back.dict_parts().unwrap().0.len(), 600);
+        assert_eq!(back.to_values(), coded.to_values());
+        assert_eq!(back, plain);
     }
 
     #[test]

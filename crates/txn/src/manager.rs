@@ -136,6 +136,9 @@ pub struct Transaction {
     finished: AtomicBool,
     /// Set by the first table write (see [`TransactionManager::open_writers`]).
     wrote: AtomicBool,
+    /// Set when a statement failed inside this transaction: it can only
+    /// end, and [`Transaction::commit`] rolls it back.
+    doomed: AtomicBool,
 }
 
 impl std::fmt::Debug for Transaction {
@@ -163,6 +166,18 @@ impl Transaction {
         self.state.lock().reads.push(predicate);
     }
 
+    /// Mark this transaction failed: a statement inside it failed, and
+    /// what it left behind (rows it already wrote, WAL records it already
+    /// logged) must never commit.
+    pub fn doom(&self) {
+        self.doomed.store(true, Ordering::SeqCst);
+    }
+
+    /// True once [`Transaction::doom`] was called.
+    pub fn is_doomed(&self) -> bool {
+        self.doomed.load(Ordering::SeqCst)
+    }
+
     /// True if this transaction has performed any write.
     pub fn is_read_write(&self) -> bool {
         self.state.lock().has_writes()
@@ -187,9 +202,16 @@ impl Transaction {
     /// Commit. Read-only transactions always succeed; read-write
     /// transactions first validate their read predicates against every
     /// transaction that committed after this one started (conservative
-    /// precision locking — HyPer's serializable variant, §6).
+    /// precision locking — HyPer's serializable variant, §6). A doomed
+    /// transaction rolls back instead and reports it.
     pub fn commit(self) -> Result<u64> {
         self.check_active()?;
+        if self.is_doomed() {
+            self.rollback()?;
+            return Err(EiderError::Transaction(
+                "a statement failed in this transaction: it was rolled back".into(),
+            ));
+        }
         let mut state = {
             let mut guard = self.state.lock();
             std::mem::take(&mut *guard)
@@ -341,6 +363,7 @@ impl TransactionManager {
             state: Mutex::new(TxnState::default()),
             finished: AtomicBool::new(false),
             wrote: AtomicBool::new(false),
+            doomed: AtomicBool::new(false),
         }
     }
 

@@ -101,11 +101,16 @@ impl TableFilter {
         // consult only the keep table per row — whole runs of a losing
         // value drop without a single per-row comparison.
         if let Some((dict, codes)) = vector.dict_parts() {
-            let keep: Vec<bool> =
-                dict.values().iter().map(|s| self.matches(&Value::Varchar(s.clone()))).collect();
+            // Decided on first use: a slice of a row group's dictionary
+            // may use far fewer entries than the dictionary holds.
+            let mut keep: Vec<Option<bool>> = vec![None; dict.len()];
             sel.retain(|&row| {
                 let row = row as usize;
-                !vector.is_null(row) && keep[codes[row] as usize]
+                let code = codes[row];
+                !vector.is_null(row)
+                    && *keep[code as usize].get_or_insert_with(|| {
+                        self.matches(&Value::Varchar(dict.get(code).to_owned()))
+                    })
             });
             return;
         }

@@ -14,6 +14,16 @@
 //! the pair to the zone map and to the transaction's write summary. NULL
 //! and NaN never enter a zone map (see [`Vector::min_max`]).
 //!
+//! VARCHAR columns are dictionary-coded from a group's first appended row
+//! ([`Vector::append_coded`]): each group keeps a [`DictIndex`] per column
+//! beside its dictionary, so an appended string the group already holds
+//! costs a lookup, not a `String`, and small tables and the tail group are
+//! scanned and shipped as codes like full groups. A column goes plain for
+//! the rest of its group once its distinct count passes
+//! `max(VECTOR_SIZE, rows / DICT_SELECTIVITY)`. In-place updates keep a
+//! coded column coded ([`Vector::set_coded`]). The other encodings are
+//! chosen once, when a group fills (`RowGroupInner::compress_columns`).
+//!
 //! Stamps are interpreted by magnitude (see [`crate::manager`]): values
 //! below [`TXN_ID_START`] are commit timestamps, values above are live
 //! transaction ids, and `u64::MAX` on a delete stamp means "not deleted".
@@ -22,7 +32,8 @@ use crate::manager::{DeleteRecord, InsertRecord, Transaction, TXN_ID_START};
 use crate::predicate::{ReadPredicate, TableFilter};
 use crate::stats::{ColumnStats, TableStats};
 use eider_vector::{
-    DataChunk, EiderError, LogicalType, Result, SelectionVector, Value, Vector, VECTOR_SIZE,
+    DataChunk, DictIndex, EiderError, Encoding, LogicalType, Result, SelectionVector, Value,
+    Vector, VECTOR_SIZE,
 };
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,6 +79,10 @@ struct UndoEntry {
 
 struct RowGroupInner {
     columns: Vec<Vector>,
+    /// Per column: the write-side index of its dictionary while it is
+    /// dictionary-coded (empty otherwise, and for full groups until an
+    /// update needs it; see [`Vector::append_coded`]).
+    dict_indexes: Vec<DictIndex>,
     insert_ids: Vec<u64>,
     delete_ids: Vec<u64>,
     /// Lazily allocated: most groups are never updated.
@@ -85,6 +100,7 @@ impl RowGroupInner {
     fn new(types: &[LogicalType]) -> Self {
         RowGroupInner {
             columns: types.iter().map(|&t| Vector::with_capacity(t, 0)).collect(),
+            dict_indexes: vec![DictIndex::default(); types.len()],
             insert_ids: Vec::new(),
             delete_ids: Vec::new(),
             update_stamps: None,
@@ -122,16 +138,22 @@ impl RowGroupInner {
         self.update_stamps.get_or_insert_with(|| vec![0; len])
     }
 
-    /// Run the stats-driven encoding chooser over every column once the
-    /// group is full. Encoded columns flow through scans unchanged
-    /// (slice/select preserve encodings), so downstream hash, key and
-    /// aggregate kernels operate on codes; an in-place update simply
-    /// flattens the touched column.
+    /// Run the stats-driven encoding chooser over every plain column once
+    /// the group is full: VARCHAR columns that went plain while appending,
+    /// and the integer columns RLE and FOR target. Columns dictionary-coded
+    /// since their first row keep their dictionary. Encoded columns flow
+    /// through scans unchanged (slice/select preserve encodings), so
+    /// downstream hash, key and aggregate kernels operate on codes. The
+    /// group takes no more appends, so its dictionary indexes are dropped;
+    /// an update rebuilds one from its dictionary on first use.
     fn compress_columns(&mut self) {
         for col in &mut self.columns {
             if let Some(encoded) = col.encode_auto() {
                 *col = encoded;
             }
+        }
+        for index in &mut self.dict_indexes {
+            index.clear();
         }
     }
 
@@ -291,8 +313,11 @@ impl DataTable {
             if g.len() != start {
                 continue; // a concurrent append moved the group's end; retry
             }
-            for (c, col) in g.columns.iter_mut().enumerate() {
-                col.append_from(chunk.column(c), offset, count)?;
+            let inner = &mut *g;
+            for (c, (col, index)) in
+                inner.columns.iter_mut().zip(&mut inner.dict_indexes).enumerate()
+            {
+                col.append_coded(chunk.column(c), rows.clone(), index)?;
             }
             g.insert_ids.extend(std::iter::repeat_n(txn.id(), count));
             g.delete_ids.extend(std::iter::repeat_n(NOT_DELETED, count));
@@ -648,7 +673,8 @@ impl DataTable {
                 let prior_stamp = g.stamp_of(row);
                 g.stamps_mut()[row] = txn.id();
                 let new_v = new_values.get_value(i + k);
-                g.columns[column].set_value(row, &new_v)?;
+                let inner = &mut *g;
+                inner.columns[column].set_coded(row, &new_v, &mut inner.dict_indexes[column])?;
                 g.widen_zone(column, &new_v, &new_v);
                 widen(&prior);
                 widen(&new_v);
@@ -794,7 +820,9 @@ impl DataTable {
                 if g.undo[w][i].ts == txn_id {
                     let entry = g.undo[w].remove(i);
                     let row = entry.row as usize;
-                    let _ = g.columns[entry.column as usize].set_value(row, &entry.prior);
+                    let (c, inner) = (entry.column as usize, &mut *g);
+                    let _ =
+                        inner.columns[c].set_coded(row, &entry.prior, &mut inner.dict_indexes[c]);
                     g.stamps_mut()[row] = entry.prior_stamp;
                 }
             }
@@ -836,6 +864,13 @@ impl DataTable {
     /// Total undo entries currently held (test/diagnostic handle).
     pub fn undo_len(&self) -> usize {
         self.groups.read().iter().map(|g| g.read().undo.iter().map(Vec::len).sum::<usize>()).sum()
+    }
+
+    /// Encoding of a column in a group (test/diagnostic handle).
+    pub fn column_encoding(&self, group: usize, column: usize) -> Option<Encoding> {
+        let groups = self.groups.read();
+        let g = groups.get(group)?.read();
+        Some(g.columns.get(column)?.encoding())
     }
 
     /// Zone map of a column in a group, if any (test/diagnostic handle).
@@ -1321,6 +1356,127 @@ mod tests {
             DataChunk::from_rows(&[LogicalType::Varchar], &[vec![Value::Varchar("x".into())]])
                 .unwrap();
         assert!(table.append_chunk(&txn, &wrong).is_err());
+    }
+
+    fn strings(chunks: &[DataChunk]) -> Vec<Value> {
+        chunks.iter().flat_map(|c| c.column(0).to_values()).collect()
+    }
+
+    #[test]
+    fn a_held_scan_slice_keeps_its_strings_while_appends_grow_the_dictionary() {
+        let mgr = TransactionManager::new();
+        let table = int_table();
+        let setup = mgr.begin();
+        table.append_chunk(&setup, &chunk(&[(1, "a"), (2, "b")])).unwrap();
+        setup.commit().unwrap();
+        assert_eq!(table.column_encoding(0, 1), Some(Encoding::Dict));
+
+        let reader = mgr.begin();
+        let opts = ScanOptions { columns: vec![1], ..Default::default() };
+        let held = table.scan_collect(&reader, &opts).unwrap();
+        let held_dict = Arc::clone(held[0].column(0).dict_parts().expect("scanned coded").0);
+        // The writer adds values while the reader holds the group's
+        // dictionary, then rewrites a row in place.
+        let writer = mgr.begin();
+        table.append_chunk(&writer, &chunk(&[(3, "c"), (4, "a"), (5, "d")])).unwrap();
+        let z = Vector::from_values(LogicalType::Varchar, &[Value::Varchar("z".into())]).unwrap();
+        table.update_rows(&writer, &[RowId { group: 0, row: 1 }], 1, &z).unwrap();
+        writer.commit().unwrap();
+
+        let text = |s: &[&str]| s.iter().map(|&s| Value::Varchar(s.into())).collect::<Vec<_>>();
+        assert_eq!(strings(&held), text(&["a", "b"]));
+        assert_eq!(held_dict.values(), ["a", "b"], "a held dictionary never changes");
+        assert_eq!(strings(&table.scan_collect(&reader, &opts).unwrap()), text(&["a", "b"]));
+        let fresh = mgr.begin();
+        assert_eq!(
+            strings(&table.scan_collect(&fresh, &opts).unwrap()),
+            text(&["a", "z", "c", "a", "d"])
+        );
+        assert_eq!(table.column_encoding(0, 1), Some(Encoding::Dict));
+    }
+
+    #[test]
+    fn point_updates_keep_a_coded_column_coded() {
+        let mgr = TransactionManager::new();
+        let table = int_table();
+        let name = |i: usize| format!("n{}", i % 50);
+        let rows: Vec<(i32, String)> = (0..100_000).map(|i| (i as i32, name(i))).collect();
+        let pairs: Vec<(i32, &str)> = rows.iter().map(|(i, s)| (*i, s.as_str())).collect();
+        let setup = mgr.begin();
+        table.append_chunk(&setup, &chunk(&pairs)).unwrap();
+        setup.commit().unwrap();
+        assert_eq!(table.column_encoding(0, 1), Some(Encoding::Dict));
+
+        let opts = ScanOptions { columns: vec![1], ..Default::default() };
+        let read = |txn: &Transaction, row: usize| -> Value {
+            let values: Vec<Value> = table
+                .scan_collect(txn, &opts)
+                .unwrap()
+                .iter()
+                .flat_map(|c| c.column(0).to_values())
+                .collect();
+            assert_eq!(values.len(), 100_000);
+            values[row].clone()
+        };
+        let varchar = |s: Option<&str>| {
+            Vector::from_values(
+                LogicalType::Varchar,
+                &[s.map_or(Value::Null, |s| Value::Varchar(s.into()))],
+            )
+            .unwrap()
+        };
+        let row = |r: u32| [RowId { group: 0, row: r }];
+
+        // Before commit the writer sees its value, another snapshot the old
+        // one; ROLLBACK restores it.
+        let t = mgr.begin();
+        let other = mgr.begin();
+        table.update_rows(&t, &row(500), 1, &varchar(Some("fresh"))).unwrap();
+        assert_eq!(table.column_encoding(0, 1), Some(Encoding::Dict));
+        assert_eq!(read(&t, 500), Value::Varchar("fresh".into()));
+        assert_eq!(read(&other, 500), Value::Varchar(name(500)));
+        t.rollback().unwrap();
+        assert_eq!(table.column_encoding(0, 1), Some(Encoding::Dict));
+        assert_eq!(read(&mgr.begin(), 500), Value::Varchar(name(500)));
+
+        // Committed: a known value, a new value and a NULL.
+        let t = mgr.begin();
+        table.update_rows(&t, &row(7), 1, &varchar(Some("n3"))).unwrap();
+        table.update_rows(&t, &row(8), 1, &varchar(Some("brand new"))).unwrap();
+        table.update_rows(&t, &row(9), 1, &varchar(None)).unwrap();
+        t.commit().unwrap();
+        assert_eq!(table.column_encoding(0, 1), Some(Encoding::Dict));
+        let fresh = mgr.begin();
+        assert_eq!(read(&fresh, 7), Value::Varchar("n3".into()));
+        assert_eq!(read(&fresh, 8), Value::Varchar("brand new".into()));
+        assert_eq!(read(&fresh, 9), Value::Null);
+        assert_eq!(read(&fresh, 10), Value::Varchar(name(10)));
+    }
+
+    #[test]
+    fn a_full_group_rebuilds_its_index_and_stays_coded_under_updates() {
+        let mgr = TransactionManager::new();
+        let table = DataTable::new(vec![LogicalType::Varchar]);
+        let rows: Vec<Vec<Value>> =
+            (0..ROW_GROUP_SIZE).map(|i| vec![Value::Varchar(format!("v{}", i % 7))]).collect();
+        let setup = mgr.begin();
+        table
+            .append_chunk(&setup, &DataChunk::from_rows(&[LogicalType::Varchar], &rows).unwrap())
+            .unwrap();
+        setup.commit().unwrap();
+        assert_eq!(table.column_encoding(0, 0), Some(Encoding::Dict));
+        let t = mgr.begin();
+        let values = ["v3", "fresh"].map(|s| Value::Varchar(s.into()));
+        let rows = [RowId { group: 0, row: 0 }, RowId { group: 0, row: 1 }];
+        let new_values = Vector::from_values(LogicalType::Varchar, &values).unwrap();
+        table.update_rows(&t, &rows, 0, &new_values).unwrap();
+        t.commit().unwrap();
+        assert_eq!(table.column_encoding(0, 0), Some(Encoding::Dict));
+        let opts = ScanOptions { columns: vec![0], ..Default::default() };
+        let first = table.scan_collect(&mgr.begin(), &opts).unwrap()[0].column(0).slice(0, 3);
+        let want = ["v3", "fresh", "v2"].map(|s| Value::Varchar(s.into()));
+        assert_eq!(first.to_values(), want);
+        assert_eq!(first.dict_parts().unwrap().0.len(), 8, "one entry added, none duplicated");
     }
 
     #[test]

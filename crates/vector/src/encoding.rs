@@ -20,7 +20,9 @@
 //! run lengths and value ranges and only encodes when the encoding pays.
 
 use crate::vector::VectorData;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
 /// Which physical representation a [`crate::Vector`] currently uses.
@@ -65,6 +67,14 @@ impl std::fmt::Debug for StrDict {
     }
 }
 
+/// A copy of the values with empty caches: what a writer extends when a
+/// reader still holds the original.
+impl Clone for StrDict {
+    fn clone(&self) -> Self {
+        StrDict::new(self.values.clone())
+    }
+}
+
 impl PartialEq for StrDict {
     fn eq(&self, other: &Self) -> bool {
         self.values == other.values
@@ -92,6 +102,15 @@ impl StrDict {
         &self.values[code as usize]
     }
 
+    /// Add an entry (its code is the old length). The per-entry caches no
+    /// longer cover every entry, so they are dropped and refilled on the
+    /// next use.
+    pub(crate) fn push(&mut self, value: String) {
+        self.values.push(value);
+        self.hash_cache.take();
+        self.key_cache.take();
+    }
+
     /// Per-entry hashes, computed at most once per dictionary. The closure
     /// receives the dictionary values and must return one hash per entry.
     pub fn hashes(&self, compute: impl FnOnce(&[String]) -> Vec<u64>) -> &[u64] {
@@ -116,6 +135,102 @@ impl StrDict {
     pub fn size_bytes(&self) -> usize {
         self.values.capacity() * std::mem::size_of::<String>()
             + self.values.iter().map(String::capacity).sum::<usize>()
+    }
+}
+
+/// The write-side lookup of a growing dictionary: the hash of an entry's
+/// bytes → its code, so appending a value the dictionary already holds
+/// costs a hash and a compare, not a `String`.
+///
+/// It indexes the first `len` entries of one dictionary, which only ever
+/// grows at the end: `sync` catches up with entries added elsewhere (a
+/// dictionary the encoding chooser built). Whoever replaces the
+/// dictionary by a different one must [`DictIndex::clear`] the index.
+/// Hashes are keyed per index ([`RandomState`]), so appended values cannot
+/// be crafted to collide.
+#[derive(Debug, Clone, Default)]
+pub struct DictIndex {
+    state: RandomState,
+    /// Open addressing with linear probing, a power of two at least twice
+    /// the entries long: each used slot holds an entry's code in its low
+    /// 32 bits and the high half of its hash (the tag, which also picks
+    /// the first slot to probe) above, so a probe rejects most other
+    /// entries without touching their strings. `EMPTY` marks a free slot.
+    slots: Vec<u64>,
+    /// Entries indexed.
+    len: usize,
+}
+
+const EMPTY: u64 = u64::MAX;
+
+impl DictIndex {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Forget every entry and release the table.
+    pub fn clear(&mut self) {
+        self.slots = Vec::new();
+        self.len = 0;
+    }
+
+    /// Index the entries of `values` not yet indexed.
+    pub(crate) fn sync(&mut self, values: &[String]) {
+        if self.len > values.len() {
+            self.clear();
+        }
+        for value in &values[self.len..] {
+            let hash = self.state.hash_one(value.as_str());
+            self.insert(hash);
+        }
+    }
+
+    /// The code of `value` in `values` (the dictionary this index covers),
+    /// or `Err` with its hash, ready for `insert`.
+    pub(crate) fn find(&self, value: &str, values: &[String]) -> Result<u32, u64> {
+        let hash = self.state.hash_one(value);
+        if self.slots.is_empty() {
+            return Err(hash);
+        }
+        let mask = self.slots.len() - 1;
+        let tag = hash >> 32;
+        let mut slot = tag as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(hash),
+                s if s >> 32 == tag && values[s as u32 as usize] == value => return Ok(s as u32),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Index the next entry (code: the entries indexed so far), whose hash
+    /// `find` returned.
+    pub(crate) fn insert(&mut self, hash: u64) -> u32 {
+        let code = self.len as u32;
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let old = std::mem::replace(
+                &mut self.slots,
+                vec![EMPTY; (self.len * 2).next_power_of_two().max(16)],
+            );
+            for s in old.into_iter().filter(|&s| s != EMPTY) {
+                self.place(s);
+            }
+        }
+        self.place(hash & !0xFFFF_FFFF | u64::from(code));
+        code
+    }
+
+    /// Put an entry (tag and code) in the first free slot of its probe
+    /// sequence, which starts where the tag points.
+    fn place(&mut self, entry: u64) {
+        let mask = self.slots.len() - 1;
+        let mut slot = (entry >> 32) as usize & mask;
+        while self.slots[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = entry;
     }
 }
 

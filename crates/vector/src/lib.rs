@@ -22,7 +22,7 @@ pub mod value;
 pub mod vector;
 
 pub use chunk::DataChunk;
-pub use encoding::{Encoding, StrDict};
+pub use encoding::{DictIndex, Encoding, StrDict};
 pub use error::{EiderError, Result};
 pub use selection::SelectionVector;
 pub use types::LogicalType;

@@ -9,7 +9,9 @@
 //! compressed domain.
 
 use crate::date::{parse_date, parse_timestamp};
-use crate::encoding::{choose, DictRepr, Encoding, ForRepr, Repr, RleRepr, StrDict};
+use crate::encoding::{
+    choose, DictIndex, DictRepr, Encoding, ForRepr, Repr, RleRepr, StrDict, DICT_SELECTIVITY,
+};
 use crate::error::{EiderError, Result};
 use crate::selection::SelectionVector;
 use crate::types::LogicalType;
@@ -654,6 +656,132 @@ impl Vector {
         Ok(())
     }
 
+    /// Append rows `rows` of `src`, keeping a VARCHAR vector
+    /// dictionary-coded as it grows: the write path of a table's row
+    /// groups, whose dictionary `index` the caller keeps beside the vector.
+    ///
+    /// An empty VARCHAR vector starts a dictionary of its own; a coded one
+    /// looks each incoming string up in `index`, so a value is cloned only
+    /// the first time the vector sees it and each row stores a code. A
+    /// coded source is translated once per source entry it uses, not per
+    /// row (codes are copied as they are when it shares this vector's
+    /// dictionary). New entries extend the dictionary in place while this
+    /// vector holds the only reference to it; otherwise it is copied
+    /// first, so a reader's slice never sees it change. The vector goes
+    /// plain for good (and `index` is cleared) as soon as its distinct
+    /// count would exceed `max(VECTOR_SIZE, len / DICT_SELECTIVITY)`.
+    /// Other types, and VARCHAR vectors that went plain, append as
+    /// [`Vector::append_from`] does.
+    pub fn append_coded(
+        &mut self,
+        src: &Vector,
+        rows: Range<usize>,
+        index: &mut DictIndex,
+    ) -> Result<()> {
+        if rows.end > src.len() || rows.start > rows.end {
+            return Err(EiderError::Internal("append_coded range out of bounds".into()));
+        }
+        let coded = match &self.repr {
+            Repr::Dict(_) => true,
+            Repr::Flat(d) => self.ty == LogicalType::Varchar && src.ty == self.ty && d.is_empty(),
+            _ => false,
+        };
+        if !coded {
+            if !index.is_empty() {
+                index.clear();
+            }
+            return self.append_from(src, rows.start, rows.len());
+        }
+        if src.ty != self.ty {
+            return Err(EiderError::TypeMismatch(format!(
+                "cannot append {} vector to {} vector",
+                src.ty, self.ty
+            )));
+        }
+        if let Repr::Flat(_) = self.repr {
+            let dict = Arc::new(StrDict::new(Vec::new()));
+            self.repr = Repr::Dict(DictRepr { dict, codes: Vec::with_capacity(rows.len()) });
+        }
+        let Repr::Dict(dst) = &mut self.repr else { unreachable!("coded above") };
+        self.decoded = OnceLock::new();
+        index.sync(dst.dict.values());
+        // Rows `rows.start..done` are coded; a column that goes plain
+        // stops there and takes the rest plain.
+        let mut done = rows.start;
+        match &src.repr {
+            Repr::Dict(s) if Arc::ptr_eq(&s.dict, &dst.dict) => {
+                dst.codes.extend_from_slice(&s.codes[rows.clone()]);
+                done = rows.end;
+            }
+            Repr::Dict(s) => {
+                // Source code → code here, filled on first use. A source
+                // dictionary larger than the range (a slice of a row
+                // group's) is not mapped whole: its rows are looked up.
+                let mapped_len = if s.dict.len() <= rows.len() { s.dict.len() } else { 0 };
+                let mut map = vec![EMPTY_CODE; mapped_len];
+                for &code in &s.codes[rows.clone()] {
+                    let known = map.get(code as usize).copied().filter(|&c| c != EMPTY_CODE);
+                    let Some(mapped) = known.or_else(|| intern(dst, index, s.dict.get(code)))
+                    else {
+                        break;
+                    };
+                    if let Some(slot) = map.get_mut(code as usize) {
+                        *slot = mapped;
+                    }
+                    dst.codes.push(mapped);
+                    done += 1;
+                }
+            }
+            _ => {
+                let VectorData::Str(values) = src.data() else {
+                    return Err(EiderError::Internal("VARCHAR vector without strings".into()));
+                };
+                for value in &values[rows.clone()] {
+                    match intern(dst, index, value) {
+                        Some(code) => dst.codes.push(code),
+                        None => break,
+                    }
+                    done += 1;
+                }
+            }
+        }
+        self.validity.extend_from(&src.validity, rows.start, done - rows.start);
+        if done < rows.end {
+            self.flatten();
+            index.clear();
+            self.append_from(src, done, rows.end - done)?;
+        }
+        Ok(())
+    }
+
+    /// Overwrite one row like [`Vector::set_value`], but keep a
+    /// dictionary-coded vector coded: the new value's code comes from
+    /// `index` (see [`Vector::append_coded`], whose dictionary rules and
+    /// fallback to plain apply). A NULL keeps the row's code.
+    pub fn set_coded(&mut self, row: usize, value: &Value, index: &mut DictIndex) -> Result<()> {
+        if let Repr::Dict(dst) = &mut self.repr {
+            if value.is_null() {
+                self.validity.set_invalid(row);
+                self.decoded = OnceLock::new();
+                return Ok(());
+            }
+            let Value::Varchar(s) = value.cast_to(self.ty)? else {
+                return Err(EiderError::Internal("VARCHAR cast produced no string".into()));
+            };
+            index.sync(dst.dict.values());
+            if let Some(code) = intern(dst, index, &s) {
+                dst.codes[row] = code;
+                self.validity.set_valid(row);
+                self.decoded = OnceLock::new();
+                return Ok(());
+            }
+        }
+        if !index.is_empty() {
+            index.clear();
+        }
+        self.set_value(row, value)
+    }
+
     /// Append row `row` of `other` (same physical type) without routing
     /// through `Value` — the join's build-row gather path. Strings clone
     /// their bytes; everything else is a plain copy.
@@ -924,6 +1052,26 @@ impl Vector {
     pub fn to_values(&self) -> Vec<Value> {
         (0..self.len()).map(|i| self.get_value(i)).collect()
     }
+}
+
+/// Marks a source dictionary entry not yet translated.
+const EMPTY_CODE: u32 = u32::MAX;
+
+/// The code of `value` in `dst`'s dictionary, adding it when new (copying
+/// the dictionary first when a reader shares it), or `None` when adding it
+/// would take the distinct count past `max(VECTOR_SIZE, rows /
+/// DICT_SELECTIVITY)`, counting the row about to be written.
+fn intern(dst: &mut DictRepr, index: &mut DictIndex, value: &str) -> Option<u32> {
+    let hash = match index.find(value, dst.dict.values()) {
+        Ok(code) => return Some(code),
+        Err(hash) => hash,
+    };
+    let cap = crate::VECTOR_SIZE.max((dst.codes.len() + 1) / DICT_SELECTIVITY);
+    if dst.dict.len() >= cap {
+        return None;
+    }
+    Arc::make_mut(&mut dst.dict).push(value.to_owned());
+    Some(index.insert(hash))
 }
 
 /// Read row `row` of flat data as a `Value` under logical type `ty`.
@@ -1286,6 +1434,37 @@ mod tests {
         mixed.append_from(&encoded, 0, 4).unwrap();
         assert_eq!(mixed.encoding(), Encoding::Plain);
         assert_eq!(mixed.len(), 5);
+    }
+
+    #[test]
+    fn append_coded_grows_one_dictionary_then_falls_back_to_plain() {
+        let (plain, encoded) = dict_fixture();
+        let mut index = DictIndex::default();
+        let mut v = Vector::new(LogicalType::Varchar);
+        v.append_coded(&plain, 0..256, &mut index).unwrap();
+        assert_eq!(v.dict_parts().unwrap().0.len(), 7);
+        // A foreign dictionary translates into the same codes.
+        v.append_coded(&encoded, 0..256, &mut index).unwrap();
+        assert_eq!(v.dict_parts().unwrap().0.len(), 7);
+        assert_eq!(v.slice(256, 256), plain);
+        // A clone holding the dictionary keeps it unchanged.
+        let held = v.clone();
+        v.append_coded(&varchar(&["new"]), 0..1, &mut index).unwrap();
+        assert_eq!(held.dict_parts().unwrap().0.len(), 7);
+        assert_eq!(v.dict_parts().unwrap().0.len(), 8);
+        v.set_coded(0, &Value::Varchar("newer".into()), &mut index).unwrap();
+        assert_eq!(v.dict_parts().unwrap().0.len(), 9);
+        assert_eq!(held.get_value(0), plain.get_value(0));
+        assert_eq!(v.get_value(0), Value::Varchar("newer".into()));
+        // Past VECTOR_SIZE distinct values the vector goes plain.
+        let unique: Vec<Value> = (0..3000).map(|i| Value::Varchar(format!("u{i}"))).collect();
+        let unique = Vector::from_values(LogicalType::Varchar, &unique).unwrap();
+        v.append_coded(&unique, 0..3000, &mut index).unwrap();
+        assert_eq!(v.encoding(), Encoding::Plain);
+        assert!(index.is_empty());
+        assert_eq!(v.len(), 513 + 3000);
+        assert_eq!(v.slice(513, 3000), unique);
+        assert_eq!(v.slice(1, 255), plain.slice(1, 255));
     }
 
     #[test]

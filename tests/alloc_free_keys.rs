@@ -135,6 +135,30 @@ fn steady_state_dict_varchar_grouping_does_not_decode_the_dictionary() {
 }
 
 #[test]
+fn appending_to_a_coded_tail_allocates_per_chunk_not_per_row() {
+    use eider_txn::{DataTable, TransactionManager};
+    use eider_vector::{Encoding, Vector};
+    let names: Vec<Value> =
+        (0..ROWS).map(|i| Value::Varchar(format!("segment-{}", i % 16))).collect();
+    let chunk =
+        DataChunk::from_vectors(vec![Vector::from_values(LogicalType::Varchar, &names).unwrap()])
+            .unwrap();
+    let table = DataTable::new(vec![LogicalType::Varchar]);
+    let mgr = TransactionManager::new();
+    let txn = mgr.begin();
+    // The first append leaves all 16 values in the tail's dictionary.
+    table.append_chunk(&txn, &chunk).unwrap();
+    assert_eq!(table.column_encoding(0, 0), Some(Encoding::Dict));
+    let allocs = allocations(|| table.append_chunk(&txn, &chunk).unwrap());
+    assert_eq!(table.column_encoding(0, 0), Some(Encoding::Dict));
+    assert!(
+        allocs < 64,
+        "appending {ROWS} rows of known values to a coded tail made {allocs} allocations \
+         (a String per row came back)"
+    );
+}
+
+#[test]
 fn steady_state_join_probe_allocates_per_chunk_not_per_row() {
     use eider_coop::compression::CompressionLevel;
     // Build side: 64 keys, one row each.

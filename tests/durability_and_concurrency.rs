@@ -346,6 +346,109 @@ fn appender_rows_survive_a_crash_without_a_checkpoint() {
     remove_db(&path);
 }
 
+/// INSERT … SELECT from a full row group hands the write path scan slices
+/// that share the group's dictionary (5,000 entries for 2,048 rows); their
+/// WAL records must still replay.
+#[test]
+fn insert_select_of_dictionary_slices_replays() {
+    let (path, _) = tmp_db("dict_slices");
+    let db = Database::open(&path).unwrap();
+    let conn = db.connect();
+    conn.execute("CREATE TABLE a (s VARCHAR)").unwrap();
+    conn.execute("CREATE TABLE b (s VARCHAR)").unwrap();
+    let n = eider_txn::table::ROW_GROUP_SIZE;
+    let txn = Arc::new(db.txn_manager().begin());
+    let mut app = Appender::new(db.catalog().get_table("a").unwrap(), Arc::clone(&txn));
+    let rows: Vec<Vec<Value>> =
+        (0..n).map(|i| vec![Value::Varchar(format!("s{}", i % 5000))]).collect();
+    app.append_chunk(DataChunk::from_rows(&[LogicalType::Varchar], &rows).unwrap()).unwrap();
+    app.finish().unwrap();
+    db.commit_transaction(Arc::try_unwrap(txn).unwrap()).unwrap();
+    conn.execute("INSERT INTO b SELECT s FROM a").unwrap();
+    let sql = "SELECT count(*), count(DISTINCT s), max(s) FROM b";
+    let live = conn.query(sql).unwrap().to_rows();
+    assert_eq!(live[0][..2], [Value::BigInt(n as i64), Value::BigInt(5000)]);
+    assert_eq!(crash_recover(&path, sql).unwrap(), live);
+    drop((conn, db));
+    remove_db(&path);
+}
+
+// A statement that fails inside an explicit transaction dooms it: every
+// later statement but ROLLBACK is refused, and COMMIT rolls back. So a
+// failed write's WAL records never meet a commit record, and the live table
+// and a crash image agree.
+
+fn refused<T>(result: &eider::Result<T>) -> bool {
+    matches!(result, Err(EiderError::Transaction(_)))
+}
+
+/// A's conflicting UPDATE is logged before `update_rows` refuses it; were
+/// A allowed to go on and commit, recovery would replay it.
+#[test]
+fn a_conflicting_update_dooms_its_transaction() {
+    let (path, _) = tmp_db("doomed_conflict");
+    let db = Database::open(&path).unwrap();
+    let (a, b) = (db.connect(), db.connect());
+    a.execute("CREATE TABLE t (id INTEGER, v INTEGER)").unwrap();
+    a.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+    a.execute("BEGIN").unwrap();
+    b.execute("BEGIN").unwrap();
+    b.execute("UPDATE t SET v = 99 WHERE id = 1").unwrap();
+    let conflict = a.execute("UPDATE t SET v = 77 WHERE id = 1");
+    assert!(conflict.as_ref().is_err_and(EiderError::is_transient), "{conflict:?}");
+    let next = a.execute("UPDATE t SET v = 21 WHERE id = 2");
+    assert!(refused(&next), "{next:?}");
+    b.execute("ROLLBACK").unwrap();
+    let commit = a.execute("COMMIT");
+    assert!(refused(&commit), "{commit:?}");
+    assert!(!a.in_transaction());
+    let sql = "SELECT id, v FROM t ORDER BY id";
+    let live = a.query(sql).unwrap().to_rows();
+    let want = |id: i32, v: i32| vec![Value::Integer(id), Value::Integer(v)];
+    assert_eq!(live, vec![want(1, 10), want(2, 20)]);
+    assert_eq!(crash_recover(&path, sql).unwrap(), live);
+    drop((a, b, db));
+    remove_db(&path);
+}
+
+/// `update_rows` checks conflicts one row group at a time, so A's UPDATE of
+/// 130,000 rows has written 129,024 of them when it meets B's row in the
+/// second group.
+#[test]
+fn an_update_that_fails_halfway_commits_nothing() {
+    let (path, _) = tmp_db("doomed_half");
+    let db = Database::open(&path).unwrap();
+    let (a, b) = (db.connect(), db.connect());
+    a.execute("CREATE TABLE t (id INTEGER, v INTEGER)").unwrap();
+    let n = 130_000;
+    let txn = Arc::new(db.txn_manager().begin());
+    let mut app = Appender::new(db.catalog().get_table("t").unwrap(), Arc::clone(&txn));
+    let rows: Vec<Vec<Value>> =
+        (0..n).map(|i| vec![Value::Integer(i), Value::Integer(0)]).collect();
+    app.append_chunk(
+        DataChunk::from_rows(&[LogicalType::Integer, LogicalType::Integer], &rows).unwrap(),
+    )
+    .unwrap();
+    app.finish().unwrap();
+    db.commit_transaction(Arc::try_unwrap(txn).unwrap()).unwrap();
+    b.execute("BEGIN").unwrap();
+    b.execute(&format!("UPDATE t SET v = 2 WHERE id = {}", n - 1)).unwrap();
+    a.execute("BEGIN").unwrap();
+    let conflict = a.execute("UPDATE t SET v = 1");
+    assert!(conflict.as_ref().is_err_and(EiderError::is_transient), "{conflict:?}");
+    let read = a.query("SELECT count(*) FROM t WHERE v = 1");
+    assert!(refused(&read), "{read:?}");
+    b.execute("ROLLBACK").unwrap();
+    let commit = a.execute("COMMIT");
+    assert!(refused(&commit), "{commit:?}");
+    let sql = "SELECT count(*), sum(v) FROM t";
+    let live = a.query(sql).unwrap().to_rows();
+    assert_eq!(live, vec![vec![Value::BigInt(i64::from(n)), Value::BigInt(0)]]);
+    assert_eq!(crash_recover(&path, sql).unwrap(), live);
+    drop((a, b, db));
+    remove_db(&path);
+}
+
 /// splitmix64: the crash oracle's seeded statement generator.
 struct Rng(u64);
 

@@ -224,8 +224,10 @@ fn canonical_shapes_do_encode() {
 }
 
 /// Engine-level harness: a table one full row group deep (so
-/// `compress_columns` really ran on group 0) queried with group-by,
-/// hash-join, sort and filtered aggregation at 1/2/4/8 workers. Every
+/// `compress_columns` really ran on group 0) plus a 10,000-row tail group
+/// whose VARCHAR column was dictionary-coded as its rows arrived, queried
+/// with group-by, hash-join, sort and filtered aggregation at 1/2/4/8
+/// workers. Every
 /// worker count must return the same rows, and those rows must match
 /// ground truth computed here from the plain generator — the decoded
 /// reference the encoded scan has to reproduce.
@@ -233,6 +235,7 @@ fn canonical_shapes_do_encode() {
 fn engine_results_match_ground_truth_at_every_worker_count() {
     use eider::{Database, DatabaseConfig};
     use eider_txn::table::ROW_GROUP_SIZE;
+    use eider_vector::Encoding;
     use std::sync::Arc;
 
     let rows = ROW_GROUP_SIZE + 10_000;
@@ -272,6 +275,9 @@ fn engine_results_match_ground_truth_at_every_worker_count() {
             entry.data.append_chunk(&txn, &chunk).unwrap();
         }
         db.commit_transaction(Arc::try_unwrap(txn).expect("sole owner")).unwrap();
+        for group in [0, 1] {
+            assert_eq!(entry.data.column_encoding(group, 0), Some(Encoding::Dict), "group {group}");
+        }
 
         let groups =
             conn.query("SELECT g, count(*) FROM t GROUP BY g ORDER BY g").unwrap().to_rows();

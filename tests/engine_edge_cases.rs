@@ -1,7 +1,7 @@
 //! Edge cases across the whole engine: empty inputs, NULL-heavy data,
 //! boundary values, and error paths.
 
-use eider::{Database, Value};
+use eider::{Database, EiderError, Value};
 
 fn conn() -> eider::Connection {
     Database::in_memory().unwrap().connect()
@@ -147,12 +147,22 @@ fn transactional_ddl_and_errors() {
     c.execute("BEGIN").unwrap();
     assert!(c.execute("BEGIN").is_err(), "nested begin");
     c.execute("ROLLBACK").unwrap();
-    // Statement errors inside an explicit txn leave the txn usable.
+    // A statement error inside an explicit txn dooms it: later statements
+    // are refused and COMMIT rolls back.
     c.execute("CREATE TABLE t (v INTEGER)").unwrap();
     c.execute("BEGIN").unwrap();
     c.execute("INSERT INTO t VALUES (1)").unwrap();
     assert!(c.execute("INSERT INTO t VALUES ('not a number')").is_err());
-    c.execute("COMMIT").unwrap();
+    assert!(matches!(c.execute("INSERT INTO t VALUES (2)"), Err(EiderError::Transaction(_))));
+    assert!(matches!(c.execute("COMMIT"), Err(EiderError::Transaction(_))));
+    assert!(!c.in_transaction());
+    let r = c.query("SELECT count(*) FROM t").unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::BigInt(0));
+    // ROLLBACK ends a doomed transaction cleanly.
+    c.execute("BEGIN").unwrap();
+    assert!(c.execute("SELECT * FROM no_such_table").is_err());
+    c.execute("ROLLBACK").unwrap();
+    c.execute("INSERT INTO t VALUES (3)").unwrap();
     let r = c.query("SELECT count(*) FROM t").unwrap();
     assert_eq!(r.scalar().unwrap(), Value::BigInt(1));
 }

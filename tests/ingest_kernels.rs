@@ -8,16 +8,21 @@
 //!   row-group boundaries, equals that fold over the group's rows;
 //! * the CSV reader's typed parsing produces exactly what
 //!   [`Value::parse_as`] does for each field — the same value, or the same
-//!   error message.
+//!   error message;
+//! * a table whose VARCHAR column is dictionary-coded as rows arrive
+//!   scans back exactly what was committed, whatever the sources' form,
+//!   and each row group's encoding follows the append rule.
 
 use eider_etl::csv::{CsvReadOptions, CsvReader};
 use eider_txn::table::{DataTable, ROW_GROUP_SIZE};
+use eider_txn::ScanOptions;
 use eider_txn::TransactionManager;
 use eider_vector::{
-    DataChunk, LogicalType, StrDict, ValidityMask, Value, Vector, VectorData, VECTOR_SIZE,
+    DataChunk, Encoding, LogicalType, StrDict, ValidityMask, Value, Vector, VectorData, VECTOR_SIZE,
 };
 use proptest::prelude::*;
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
@@ -245,6 +250,151 @@ proptest! {
                     c
                 );
             }
+        }
+    }
+}
+
+/// The encoding a row group's VARCHAR column must have after receiving
+/// `slots` (the string in each row's slot, rolled-back rows included, in
+/// order): coded until a new value would take the distinct count past
+/// `max(VECTOR_SIZE, rows / 4)`, plain from then on, and re-chosen when the
+/// group fills (a dictionary when at most a quarter of its rows differ).
+fn append_rule(slots: &[String]) -> Encoding {
+    let mut seen = HashSet::new();
+    for (i, s) in slots.iter().enumerate() {
+        if !seen.contains(s) {
+            if seen.len() >= VECTOR_SIZE.max((i + 1) / 4) {
+                let distinct = slots.iter().collect::<HashSet<_>>().len();
+                let full = slots.len() == ROW_GROUP_SIZE;
+                return if full && distinct <= ROW_GROUP_SIZE / 4 {
+                    Encoding::Dict
+                } else {
+                    Encoding::Plain
+                };
+            }
+            seen.insert(s);
+        }
+    }
+    Encoding::Dict
+}
+
+/// One append: `n` rows of cardinality `card` handed over as `form`
+/// (0 plain, 1 coded by the chooser, 2 coded against a foreign dictionary
+/// with unused entries), rolled back when `abort` is 0 (one in four).
+type AppendOp = (u8, u8, usize, u8);
+
+fn append_op() -> impl Strategy<Value = AppendOp> {
+    let small = || 1usize..3 * VECTOR_SIZE;
+    let n = prop_oneof![small(), small(), small(), ROW_GROUP_SIZE / 2..ROW_GROUP_SIZE];
+    (0u8..3, 0u8..4, n, 0u8..4)
+}
+
+/// `values` (None = NULL, stored over an empty slot) as a VARCHAR vector in
+/// the given form.
+fn varchar_source(values: &[Option<String>], form: u8) -> Vector {
+    let plain = Vector::from_values(
+        LogicalType::Varchar,
+        &values.iter().map(|v| v.clone().map_or(Value::Null, Value::Varchar)).collect::<Vec<_>>(),
+    )
+    .unwrap();
+    match form {
+        1 => plain.encode_auto().unwrap_or(plain),
+        2 => {
+            let mut entries = vec!["unused".to_string(), String::new()];
+            let mut codes_of = std::collections::HashMap::from([(String::new(), 1u32)]);
+            let mut codes = Vec::with_capacity(values.len());
+            for v in values {
+                let s = v.clone().unwrap_or_default();
+                let code = *codes_of.entry(s.clone()).or_insert_with(|| {
+                    entries.push(s);
+                    entries.len() as u32 - 1
+                });
+                codes.push(code);
+            }
+            entries.push("never used".into());
+            let dict = Arc::new(StrDict::new(entries));
+            let validity = plain.validity().clone();
+            Vector::from_dict(LogicalType::Varchar, dict, codes, validity).unwrap()
+        }
+        _ => plain,
+    }
+}
+
+proptest! {
+    // Each case appends up to a few hundred thousand rows, so a few cases
+    // fill row groups and cross their ends.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn coded_appends_scan_back_and_follow_the_rule(
+        ops in prop::collection::vec(append_op(), 1..7),
+        seed in any::<u64>(),
+    ) {
+        let types = [LogicalType::Integer, LogicalType::Varchar];
+        let table = DataTable::new(types.to_vec());
+        let mgr = TransactionManager::new();
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Every physical row's slot string, and the rows committed.
+        let mut slots: Vec<String> = Vec::new();
+        let mut committed: Vec<Vec<Value>> = Vec::new();
+        let mut unique = 0u64;
+        for (i, &(form, card, n, abort)) in ops.iter().enumerate() {
+            let values: Vec<Option<String>> = (0..n)
+                .map(|_| {
+                    let r = next();
+                    if r % 9 == 0 {
+                        return None;
+                    }
+                    let low = STRINGS[(r >> 8) as usize % STRINGS.len()].to_string();
+                    Some(match card {
+                        0 => low,
+                        1 => format!("mid\0{}", (r >> 8) % 300),
+                        2 => {
+                            unique += 1;
+                            format!("u{unique}")
+                        }
+                        _ if r % 3 == 0 => {
+                            unique += 1;
+                            format!("u{unique}")
+                        }
+                        _ => low,
+                    })
+                })
+                .collect();
+            let ids: Vec<Value> = (0..n).map(|k| Value::Integer((slots.len() + k) as i32)).collect();
+            let chunk = DataChunk::from_vectors(vec![
+                Vector::from_values(LogicalType::Integer, &ids).unwrap(),
+                varchar_source(&values, form),
+            ])
+            .unwrap();
+            let txn = mgr.begin();
+            table.append_chunk(&txn, &chunk).unwrap();
+            if abort == 0 {
+                txn.rollback().unwrap();
+            } else {
+                txn.commit().unwrap();
+                for (id, v) in ids.into_iter().zip(&values) {
+                    committed.push(vec![id, v.clone().map_or(Value::Null, Value::Varchar)]);
+                }
+            }
+            slots.extend(values.into_iter().map(Option::unwrap_or_default));
+            prop_assert_eq!(table.physical_rows(), slots.len(), "after append {}", i);
+        }
+        let reader = mgr.begin();
+        let opts = ScanOptions { columns: vec![0, 1], ..Default::default() };
+        let scanned: Vec<Vec<Value>> =
+            table.scan_collect(&reader, &opts).unwrap().iter().flat_map(DataChunk::to_rows).collect();
+        prop_assert_eq!(scanned.len(), committed.len());
+        let first_difference = scanned.iter().zip(&committed).position(|(a, b)| a != b);
+        prop_assert_eq!(first_difference, None, "the scan differs from the committed rows");
+        for (g, group) in slots.chunks(ROW_GROUP_SIZE).enumerate() {
+            prop_assert_eq!(table.column_encoding(g, 1), Some(append_rule(group)), "group {}", g);
         }
     }
 }
